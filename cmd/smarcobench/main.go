@@ -152,9 +152,14 @@ type engineSnapshot struct {
 }
 
 type engineEntry struct {
-	Label string                  `json:"label"`
-	Date  string                  `json:"date"`
-	Runs  []experiments.EngineRun `json:"runs"`
+	Label string `json:"label"`
+	Date  string `json:"date"`
+	// Host facts: the CPUs the process could use and the GOMAXPROCS the
+	// runs saw, which bound what the parallel rows can show. Entries
+	// recorded before they were kept omit them.
+	NProc      int                     `json:"nproc,omitempty"`
+	GOMAXPROCS int                     `json:"gomaxprocs,omitempty"`
+	Runs       []experiments.EngineRun `json:"runs"`
 }
 
 // benchEngine measures engine throughput on every config/variant/executor
@@ -180,7 +185,12 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 		return err
 	}
 	snap.Workload = experiments.EngineBenchWorkload
-	entry := engineEntry{Label: label, Date: time.Now().Format("2006-01-02")}
+	entry := engineEntry{
+		Label:      label,
+		Date:       time.Now().Format("2006-01-02"),
+		NProc:      runtime.NumCPU(),
+		GOMAXPROCS: runtime.GOMAXPROCS(0),
+	}
 	var snapshots []chip.Snapshot
 	configs := experiments.EngineBenchConfigs
 	if paper {

@@ -92,29 +92,59 @@ func (p *panicTicker) Tick(now uint64) {
 func (p *panicTicker) Commit(uint64)  {}
 func (p *panicTicker) String() string { return p.name }
 
+// TestParallelPanicSurfacesAsError: a component panic under the parallel
+// executor becomes Run's error, naming the component and the exact cycle
+// it was executing — on the classic three-phase cycle, inside a fused
+// epoch, and inside a per-shard round — and Run stops within one window.
 func TestParallelPanicSurfacesAsError(t *testing.T) {
-	e := NewEngine()
-	e.SetParallel(true)
-	e.SetMaxPartitions(2)
-	e.AddPartition(&panicTicker{name: "core7", at: 10})
-	e.AddPartition(idleTicker{})
-	cycles, err := e.Run(1_000, nil)
-	if err == nil {
-		t.Fatal("expected a panic-derived error")
-	}
-	if !strings.Contains(err.Error(), "core7") {
-		t.Fatalf("error does not name the panicking component: %v", err)
-	}
-	if !strings.Contains(err.Error(), "injected failure") {
-		t.Fatalf("error does not carry the panic value: %v", err)
-	}
-	if cycles > 11 {
-		t.Fatalf("run continued past the panic: stopped at %d", cycles)
-	}
-	// Step must be inert after a recovered panic.
-	before := e.Now()
-	e.Step()
-	if e.Now() != before {
-		t.Fatal("Step advanced after a recovered panic")
+	for _, tc := range []struct {
+		name   string
+		build  func() *Engine
+		window uint64 // cycles the run may continue past the panic
+	}{
+		{"classic", func() *Engine {
+			e := NewEngine()
+			e.SetParallel(true)
+			e.SetMaxPartitions(2)
+			e.AddPartition(&panicTicker{name: "core7", at: 10})
+			e.AddPartition(idleTicker{})
+			return e
+		}, 1},
+		{"fused-epoch", func() *Engine {
+			e, _, _ := buildPingPong(4, 0, true)
+			e.Add(&panicTicker{name: "core7", at: 10})
+			return e
+		}, 4},
+		{"per-shard-rounds", func() *Engine {
+			e, _ := buildTriangle(0, true, true)
+			e.Add(&panicTicker{name: "core7", at: 10})
+			return e
+		}, 8},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := tc.build()
+			cycles, err := e.Run(1_000, nil)
+			if err == nil {
+				t.Fatal("expected a panic-derived error")
+			}
+			if !strings.Contains(err.Error(), "core7") {
+				t.Fatalf("error does not name the panicking component: %v", err)
+			}
+			if !strings.Contains(err.Error(), "injected failure") {
+				t.Fatalf("error does not carry the panic value: %v", err)
+			}
+			if !strings.Contains(err.Error(), "panicked at cycle 10:") {
+				t.Fatalf("error does not report the executing cycle 10: %v", err)
+			}
+			if cycles > 10+tc.window {
+				t.Fatalf("run continued past the panic: stopped at %d", cycles)
+			}
+			// Step must be inert after a recovered panic.
+			before := e.Now()
+			e.Step()
+			if e.Now() != before {
+				t.Fatal("Step advanced after a recovered panic")
+			}
+		})
 	}
 }

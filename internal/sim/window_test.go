@@ -14,6 +14,12 @@ import (
 // windows are therefore 8/2/1 while the global-min window is 1 — the
 // smallest machine on which per-shard windows do something.
 func buildTriangle(look uint64, parallel, perShard bool) (*Engine, [3]*pinger) {
+	return buildTriangleLat([3]uint64{8, 2, 1}, look, parallel, perShard)
+}
+
+// buildTriangleLat is buildTriangle with the in-port latencies of a, b and
+// c given.
+func buildTriangleLat(lat [3]uint64, look uint64, parallel, perShard bool) (*Engine, [3]*pinger) {
 	e := NewEngine()
 	e.SetParallel(parallel)
 	e.SetMaxPartitions(3)
@@ -22,9 +28,9 @@ func buildTriangle(look uint64, parallel, perShard bool) (*Engine, [3]*pinger) {
 	pa := NewPort[uint64](0)
 	pb := NewPort[uint64](0)
 	pc := NewPort[uint64](0)
-	pa.SetMinLatency(8)
-	pb.SetMinLatency(2)
-	pc.SetMinLatency(1)
+	pa.SetMinLatency(lat[0])
+	pb.SetMinLatency(lat[1])
+	pc.SetMinLatency(lat[2])
 	a := &pinger{key: 1, out: pb, in: pa, every: 3}
 	b := &pinger{key: 2, out: pc, in: pb, every: 5}
 	c := &pinger{key: 3, out: pa, in: pc, every: 7}
