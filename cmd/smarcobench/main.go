@@ -212,6 +212,9 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 					mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d global-window=%v",
 						r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency, r.GlobalWindow)
 				}
+				if r.Handoffs != nil {
+					mode += fmt.Sprintf(" handoffs=%.3f", *r.Handoffs)
+				}
 				fmt.Printf("%-8s parallel=%-5v linklat=%d lookahead=%d%s cycles=%-10d cycles/sec=%.0f\n",
 					r.Config, r.Parallel, r.LinkLatency, r.Lookahead, mode, r.Cycles, r.CyclesPerSec)
 				machine := v.MachineKey(config)

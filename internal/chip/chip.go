@@ -51,8 +51,9 @@ type Config struct {
 	// Executor picks the engine executor explicitly: "serial", "parallel",
 	// or "auto" (parallel only when the host has more than one CPU and the
 	// chip is at least autoParallelCores cores — the measured crossover
-	// below which per-cycle barrier overhead outweighs the concurrency).
-	// Empty defers to the Parallel field.
+	// below which a chip has too little work per cycle to hand any of it
+	// to a worker, so parallel gains nothing over serial). Empty defers to
+	// the Parallel field.
 	Executor string
 	// Partitions caps the parallel executor's partition count (0 = one per
 	// available CPU). Purely a wall-time knob: results are identical for
@@ -156,9 +157,14 @@ func SmallConfig() Config {
 func (c Config) Cores() int { return c.SubRings * c.CoresPerSub }
 
 // autoParallelCores is the chip size at which Executor "auto" switches to
-// the parallel executor: below it, per-cycle synchronization overhead
-// outweighs what little work there is to spread (see BENCH_engine.json for
-// the serial-vs-parallel crossover measurements).
+// the parallel executor. The engine hands a dispatch to its workers only
+// when its work pays for the handoff, so on light chips the parallel
+// executor runs almost every dispatch inline and gains nothing. On the
+// 2-CPU host of the latest BENCH_engine.json entry (DESIGN.md §10) the
+// 16-core chip handed off no kmp dispatch and ran at a median 0.90×
+// serial over ten alternating pairs, the 64-core chip ran kmp at serial
+// speed within noise, and the 256-core chip ran SPM-staged kmeans 1.55×
+// faster than serial.
 const autoParallelCores = 64
 
 // EffectiveParallel resolves the executor selection to a concrete mode for
@@ -630,6 +636,11 @@ func (c *Chip) Lookahead() uint64 { return c.eng.Lookahead() }
 
 // Epochs counts engine synchronization rounds so far (see Snapshot.Epochs).
 func (c *Chip) Epochs() uint64 { return c.eng.Epochs() }
+
+// Handoffs reports how many engine dispatches went to the parallel
+// executor's workers and how many it made while they ran (see
+// sim.Engine.Handoffs). A wall-time diagnostic, not in snapshots.
+func (c *Chip) Handoffs() (handed, dispatched uint64) { return c.eng.Handoffs() }
 
 // WindowReport returns the engine's per-shard lookahead-window report:
 // each shard's safe fused-block window under the configured latencies and

@@ -71,7 +71,8 @@ func TestAutoExecutorCrossover(t *testing.T) {
 // partition count, periodic repartitioning, the "auto" mode, and a
 // checkpoint restored into a differently-partitioned chip all produce the
 // same cycle count and the same (normalized) snapshot — with and without
-// fault injection.
+// fault injection, and on one heavy workload whose dispatches the
+// parallel executor hands to its workers.
 func TestExecutorBitIdentity(t *testing.T) {
 	variants := []struct {
 		name   string
@@ -85,6 +86,46 @@ func TestExecutorBitIdentity(t *testing.T) {
 			c.RepartitionEvery = 1_500
 		}},
 	}
+	// The kmp cells below are light: the small chip ticks too few
+	// components per cycle for a dispatch to pay for a worker handoff, so
+	// the parallel executor runs them inline. This cell stages kmeans into
+	// the SPMs on every hardware thread behind 4-cycle links, so each
+	// dispatch is a four-cycle epoch of busy cores and most are handed to
+	// the workers: partitions run concurrently here, under -race too. Two
+	// Ps start the workers on a single-CPU host as well.
+	t.Run("handoff", func(t *testing.T) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+		run := func(mutate func(*Config)) (*Chip, uint64) {
+			cfg := SmallConfig()
+			cfg.LinkLatency = 4
+			mutate(&cfg)
+			w := kernels.MustNew("kmeans", kernels.Config{Seed: 123, Tasks: cfg.Threads(), Scale: 8, StageSPM: true})
+			c := New(cfg, w.Mem)
+			c.Submit(w.Tasks)
+			cycles, err := c.Run(10_000_000)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Check(); err != nil {
+				t.Fatal(err)
+			}
+			return c, cycles
+		}
+		ref, refCycles := run(func(c *Config) { c.Executor = "serial" })
+		refSnap := normalizedSnapshot(t, ref)
+		for _, v := range variants {
+			c, cycles := run(v.mutate)
+			if cycles != refCycles {
+				t.Fatalf("%s: %d cycles, serial %d", v.name, cycles, refCycles)
+			}
+			if snap := normalizedSnapshot(t, c); !bytes.Equal(snap, refSnap) {
+				t.Fatalf("%s: snapshot diverged from serial run:\n%s\nvs\n%s", v.name, snap, refSnap)
+			}
+			if h, d := c.Handoffs(); h == 0 {
+				t.Fatalf("%s: none of %d dispatches handed to the workers", v.name, d)
+			}
+		}
+	})
 	for _, faulty := range []bool{false, true} {
 		faulty := faulty
 		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {

@@ -68,6 +68,9 @@ type queued struct {
 	addr    uint64
 	arrived uint64
 	direct  int // direct-link index it arrived on, or -1 for the ring
+	// bank caches bankOf(addr), set at admission (and on restore, which
+	// does not save it): the scan checks it for every queued request.
+	bank int32
 	// eccRetried marks a read whose first service hit an uncorrectable
 	// (double-bit) ECC error: the data was refused and the access re-read.
 	eccRetried bool
@@ -111,7 +114,11 @@ type Controller struct {
 	directIn  []*sim.Port[*noc.Packet] // requests from the direct datapaths
 	directOut []*sim.Port[*noc.Packet] // responses onto the direct datapaths
 
-	queue   []queued
+	queue []queued
+	// prio counts the Priority requests in queue: added at admission,
+	// removed at issue, recounted on restore. At 0 the queue-wide priority
+	// pass cannot pick anything and is skipped.
+	prio    int
 	banks   []bank
 	done    completionQueue
 	seq     uint64
@@ -167,6 +174,17 @@ func (c *Controller) rowOf(addr uint64) uint64 {
 	return addr / uint64(c.cfg.RowBytes)
 }
 
+// admit appends a request to the FR-FCFS queue, caching its bank and
+// counting it in prio if it is a priority request.
+func (c *Controller) admit(p *noc.Packet, now uint64, direct int) {
+	addr := c.addrOf(p)
+	q := queued{pkt: p, addr: addr, arrived: now, direct: direct, bank: int32(c.bankOf(addr))}
+	c.queue = append(c.queue, q)
+	if p.Priority {
+		c.prio++
+	}
+}
+
 // Tick advances the controller one cycle.
 func (c *Controller) Tick(now uint64) {
 	// Admit new requests.
@@ -176,7 +194,7 @@ func (c *Controller) Tick(now uint64) {
 			c.offerMatch(p, now, -1)
 			continue
 		}
-		c.queue = append(c.queue, queued{pkt: p, addr: c.addrOf(p), arrived: now, direct: -1})
+		c.admit(p, now, -1)
 	}
 	for i, in := range c.directIn {
 		c.scratch = in.DrainInto(c.scratch[:0], 0)
@@ -185,7 +203,7 @@ func (c *Controller) Tick(now uint64) {
 				c.offerMatch(p, now, i)
 				continue
 			}
-			c.queue = append(c.queue, queued{pkt: p, addr: c.addrOf(p), arrived: now, direct: i})
+			c.admit(p, now, i)
 		}
 	}
 	c.tickMatch(now)
@@ -197,16 +215,21 @@ func (c *Controller) Tick(now uint64) {
 		idx := -1
 		// Prefer priority requests (searched queue-wide, modelling a
 		// dedicated real-time queue), then row hits, then oldest — the
-		// latter two within the FR-FCFS scan window.
-		for pass := 0; pass < 3 && idx < 0; pass++ {
+		// latter two within the FR-FCFS scan window. With no priority
+		// request queued the first pass could pick nothing.
+		pass := 0
+		if c.prio == 0 {
+			pass = 1
+		}
+		for ; pass < 3 && idx < 0; pass++ {
 			window := c.cfg.ScanWindow
 			if pass == 0 || window > len(c.queue) {
 				window = len(c.queue)
 			}
 			for i := 0; i < window; i++ {
 				q := &c.queue[i]
-				b := c.bankOf(q.addr)
-				if c.banks[b].busyUntil > now {
+				b := &c.banks[q.bank]
+				if b.busyUntil > now {
 					continue
 				}
 				switch pass {
@@ -215,7 +238,7 @@ func (c *Controller) Tick(now uint64) {
 						continue
 					}
 				case 1:
-					if !c.banks[b].hasRow || c.banks[b].openRow != c.rowOf(q.addr) {
+					if !b.hasRow || b.openRow != c.rowOf(q.addr) {
 						continue
 					}
 				}
@@ -239,6 +262,9 @@ func (c *Controller) Tick(now uint64) {
 			budget -= dataBytes
 		}
 		c.queue = append(c.queue[:idx], c.queue[idx+1:]...)
+		if q.pkt.Priority {
+			c.prio--
+		}
 		c.service(now, q)
 	}
 
@@ -275,7 +301,7 @@ func (c *Controller) dataBytes(p *noc.Packet) int {
 // service starts a request on its bank and schedules its completion.
 func (c *Controller) service(now uint64, q queued) {
 	addr := q.addr
-	b := c.bankOf(addr)
+	b := q.bank
 	row := c.rowOf(addr)
 	lat := c.cfg.RowMissCycles
 	if c.banks[b].hasRow && c.banks[b].openRow == row {

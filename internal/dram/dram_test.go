@@ -1,11 +1,13 @@
 package dram
 
 import (
+	"fmt"
 	"testing"
 
 	"smarco/internal/mem"
 	"smarco/internal/noc"
 	"smarco/internal/sim"
+	"smarco/internal/snapshot"
 )
 
 type harness struct {
@@ -290,5 +292,132 @@ func TestMatchUnitEdgeCases(t *testing.T) {
 	}
 	if resp.Payload.(noc.MatchResp).Count != 0 {
 		t.Fatal("expected zero matches")
+	}
+}
+
+// read returns a normal or priority 8-byte read of addr tagged id.
+func read(id, addr uint64, priority bool) *noc.Packet {
+	return noc.NewMemReqPacket(id, noc.CoreNode(0), noc.MCNode(0),
+		noc.MemReq{ID: id, Addr: addr, Size: 8}, false, priority, 0)
+}
+
+// responses steps the harness n cycles and logs each response as
+// {cycle it became visible, request id}.
+func (h *harness) responses(n int, log *[][2]uint64) {
+	for i := 0; i < n; i++ {
+		h.eng.Step()
+		for {
+			p, ok := h.fromMC.Pop()
+			if !ok {
+				break
+			}
+			*log = append(*log, [2]uint64{h.eng.Now(), p.Payload.(noc.MemResp).ID})
+		}
+	}
+}
+
+// order lists the request ids of a response log.
+func order(log [][2]uint64) []uint64 {
+	ids := make([]uint64, len(log))
+	for i, r := range log {
+		ids[i] = r[1]
+	}
+	return ids
+}
+
+// Bank-0 addresses on DDR4 (8 banks interleaved every 64 bytes), each in
+// its own row unless noted.
+const (
+	row0  = 0x0     // row 0
+	row0b = 0x200   // row 0 again: a row hit once row 0 is open
+	rowA  = 0x10000 // row 32
+	rowB  = 0x20000 // row 64
+	rowC  = 0x30000 // row 96
+)
+
+// TestPriorityIssuedFirstOnFreeBank: a priority request queued behind
+// normal ones to the same busy bank is the first issued once the bank
+// frees, and the queued-priority count returns to 0 after it issues.
+func TestPriorityIssuedFirstOnFreeBank(t *testing.T) {
+	h := newHarness(DDR4())
+	var log [][2]uint64
+	h.send(read(1, row0, false))
+	h.responses(2, &log) // 1 issues at once and holds bank 0
+	h.send(read(2, rowA, false))
+	h.send(read(3, rowB, false))
+	h.send(read(4, rowC, true))
+	h.responses(2, &log)
+	if h.ctl.prio != 1 || h.ctl.QueueLen() != 3 {
+		t.Fatalf("after admission: prio %d, queue %d; want 1 and 3", h.ctl.prio, h.ctl.QueueLen())
+	}
+	h.responses(400, &log)
+	if got, want := fmt.Sprint(order(log)), "[1 4 2 3]"; got != want {
+		t.Fatalf("issue order %v, want %v", got, want)
+	}
+	if h.ctl.prio != 0 {
+		t.Fatalf("prio = %d after the priority request issued, want 0", h.ctl.prio)
+	}
+}
+
+// TestNormalOrderRowHitThenOldest: with only normal requests queued, a
+// row hit in the scan window goes first, then the oldest request.
+func TestNormalOrderRowHitThenOldest(t *testing.T) {
+	h := newHarness(DDR4())
+	var log [][2]uint64
+	h.send(read(1, row0, false))
+	h.responses(2, &log) // 1 opens row 0 and holds bank 0
+	h.send(read(2, rowA, false))
+	h.send(read(3, row0b, false)) // younger, but a row hit
+	h.send(read(4, rowB, false))
+	h.send(read(5, rowC, false))
+	h.responses(400, &log)
+	if got, want := fmt.Sprint(order(log)), "[1 3 2 4 5]"; got != want {
+		t.Fatalf("issue order %v, want %v", got, want)
+	}
+	if h.ctl.prio != 0 {
+		t.Fatalf("prio = %d with no priority request, want 0", h.ctl.prio)
+	}
+}
+
+// TestRestoreRecountsPriority: a controller restored from a checkpoint
+// taken while a priority request waits behind normal ones issues it in
+// the same cycle as the uninterrupted controller. The count is not in the
+// snapshot, so this holds only if restore recounts it.
+func TestRestoreRecountsPriority(t *testing.T) {
+	start := func() (*harness, [][2]uint64) {
+		h := newHarness(DDR4())
+		var log [][2]uint64
+		h.send(read(1, row0, false))
+		h.responses(2, &log)
+		for i := uint64(0); i < 4; i++ {
+			h.send(read(10+i, rowA+i*0x10000, false))
+		}
+		h.send(read(99, row0b+0x40000, true))
+		h.responses(5, &log) // the priority request now waits for bank 0
+		return h, log
+	}
+	ref, refLog := start()
+	ref.responses(600, &refLog)
+
+	h, log := start()
+	if h.ctl.prio != 1 {
+		t.Fatalf("prio = %d before the checkpoint, want 1", h.ctl.prio)
+	}
+	enc := snapshot.NewEncoder()
+	h.eng.SaveState(enc)
+	h.ctl.SaveState(enc)
+	res := newHarness(DDR4())
+	dec := snapshot.NewDecoder(enc.Bytes())
+	res.eng.RestoreState(dec)
+	res.ctl.RestoreState(dec)
+	if err := dec.Err(); err != nil {
+		t.Fatal(err)
+	}
+	res.responses(600, &log)
+	if got, want := fmt.Sprint(log), fmt.Sprint(refLog); got != want {
+		t.Fatalf("restored run responded %v, uninterrupted %v", got, want)
+	}
+	if order(refLog)[1] != 99 {
+		t.Fatalf("priority request was not issued first after the busy bank: %v", order(refLog))
 	}
 }

@@ -90,8 +90,14 @@ func (c *Controller) RestoreState(d *snapshot.Decoder) {
 	}
 	n := int(d.U32())
 	c.queue = c.queue[:0]
+	c.prio = 0
 	for i := 0; i < n; i++ {
-		c.queue = append(c.queue, restoreQueued(d))
+		q := restoreQueued(d)
+		q.bank = int32(c.bankOf(q.addr))
+		if q.pkt.Priority {
+			c.prio++
+		}
+		c.queue = append(c.queue, q)
 	}
 	nBanks := int(d.U32())
 	if nBanks != len(c.banks) {

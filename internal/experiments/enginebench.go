@@ -132,6 +132,11 @@ type EngineRun struct {
 	Cycles          uint64  `json:"cycles"`
 	WallSeconds     float64 `json:"wall_seconds"`
 	CyclesPerSec    float64 `json:"cycles_per_sec"`
+	// Handoffs is the share of the parallel executor's dispatches it
+	// handed to its workers (the rest ran inline on the caller; see
+	// sim.Engine.Handoffs). Set on parallel rows whose run started
+	// workers, absent elsewhere.
+	Handoffs *float64 `json:"handoffs,omitempty"`
 	// Sampled marks a sampled-mode run of the sampled-vs-detailed A/B:
 	// Cycles is the SMARTS extrapolation (est_error its confidence
 	// half-width) and Speedup is the paired full-detail run's wall time over
@@ -245,6 +250,10 @@ func measureEngine(config string, parallel bool, v EngineBenchVariant) (EngineRu
 	}
 	if v.LinkLatency > 1 || v.Lookahead > 1 || v.Hetero() {
 		run.Lookahead = c.Lookahead() // effective window, not the requested cap
+	}
+	if h, d := c.Handoffs(); d > 0 {
+		share := float64(h) / float64(d)
+		run.Handoffs = &share
 	}
 	var maxWin uint64
 	for _, w := range c.WindowReport() {

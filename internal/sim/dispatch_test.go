@@ -34,6 +34,19 @@ func waitGoroutines(t *testing.T, want int) {
 	}
 }
 
+// handOffAll makes e hand every dispatch to its workers, however light,
+// so a test on a toy wiring exercises the handoff path it is about.
+func handOffAll(e *Engine) { e.handoffMin = 0 }
+
+// checkHandedOff fails the test unless e handed every dispatch it made
+// while workers ran to them, and made at least one.
+func checkHandedOff(t *testing.T, e *Engine) {
+	t.Helper()
+	if h, d := e.Handoffs(); h == 0 || h != d {
+		t.Fatalf("%d of %d dispatches handed off, want all and at least one", h, d)
+	}
+}
+
 // receipts copies the pingers' receipt logs.
 func receipts(ps ...*pinger) string {
 	logs := make([][][2]uint64, len(ps))
@@ -168,6 +181,7 @@ func TestWorkersJoinedAfterRun(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, done := tc.build()
+			handOffAll(e)
 			before := runtime.NumGoroutine()
 			during := 0
 			probe := func() bool {
@@ -180,6 +194,7 @@ func TestWorkersJoinedAfterRun(t *testing.T) {
 			if during <= before {
 				t.Fatalf("%d goroutines during Run, %d before it: no worker started", during, before)
 			}
+			checkHandedOff(t, e)
 			waitGoroutines(t, before)
 		})
 	}
@@ -196,11 +211,15 @@ func TestBudgetSlicedRunsMatchStraightRun(t *testing.T) {
 		run := func(parallel bool, slice uint64) string {
 			e, ps := buildTriangleLat(lat, 0, parallel, true)
 			e.SetMaxPartitions(2)
+			handOffAll(e)
 			before := runtime.NumGoroutine()
 			for e.Now() < total {
 				if _, err := e.Run(min(slice, total-e.Now()), nil); !errors.Is(err, ErrBudget) {
 					t.Fatalf("lat=%v slice=%d: %v", lat, slice, err)
 				}
+			}
+			if parallel {
+				checkHandedOff(t, e)
 			}
 			waitGoroutines(t, before)
 			return receipts(ps[:]...)
@@ -260,8 +279,12 @@ func TestConcurrentEnginesOversubscribed(t *testing.T) {
 	run := func(i int, parallel bool) (string, error) {
 		e, result := scenarios[i](parallel)
 		e.Add(sleeper{})
+		handOffAll(e)
 		if _, err := e.Run(cycles, nil); !errors.Is(err, ErrBudget) {
 			return "", err
+		}
+		if h, d := e.Handoffs(); parallel && (h == 0 || h != d) {
+			return "", fmt.Errorf("%d of %d dispatches handed off, want all", h, d)
 		}
 		return result(), nil
 	}
@@ -286,6 +309,108 @@ func TestConcurrentEnginesOversubscribed(t *testing.T) {
 		}
 		if got[i] != want {
 			t.Fatalf("scenario %d: parallel run under oversubscription diverged from serial", i)
+		}
+	}
+}
+
+// BenchmarkDispatch times one simulated cycle of two near-empty shards on
+// two partitions, handed to the workers ("handoff") and run inline on the
+// caller ("inline"). The difference is what a handoff costs beyond the
+// work it carries: the measurement behind handoffWork.
+func BenchmarkDispatch(b *testing.B) {
+	old := runtime.GOMAXPROCS(2)
+	defer runtime.GOMAXPROCS(old)
+	for _, tc := range []struct {
+		name string
+		min  uint64
+	}{{"inline", ^uint64(0)}, {"handoff", 0}} {
+		b.Run(tc.name, func(b *testing.B) {
+			e, _, _ := buildPingPong(1, 0, true)
+			e.handoffMin = tc.min
+			b.ResetTimer()
+			if _, err := e.Run(uint64(b.N), nil); !errors.Is(err, ErrBudget) {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// burster ticks only during [from, to): it sleeps on a timer until from,
+// then stays active until to, folding every cycle it ticks into sum.
+type burster struct {
+	from, to, sum uint64
+}
+
+func (b *burster) Tick(now uint64) { b.sum = b.sum*31 + now }
+func (b *burster) Commit(uint64)   {}
+func (b *burster) Quiescent(now uint64) (bool, uint64) {
+	switch {
+	case now+1 < b.from:
+		return true, b.from
+	case now+1 < b.to:
+		return false, 0
+	}
+	return true, WakeNever
+}
+
+// TestHandoffFollowsWork: two shards of bursters wake mid-run, so the
+// engine's work per dispatch rises past handoffWork and falls back. Under
+// every advance path (classic cycles, one-cycle and four-cycle epochs,
+// per-shard rounds) the run hands the heavy dispatches to the workers and
+// runs the light ones inline, and matches the serial run bit for bit:
+// pinger receipts, burster sums and per-shard tick counts.
+func TestHandoffFollowsWork(t *testing.T) {
+	setProcs(t, 2)
+	const cycles = 400
+	const perShard = handoffWork // two shards of them: twice the threshold
+	build := func(lat [3]uint64, parallel bool) (*Engine, func() string) {
+		var e *Engine
+		var ps []*pinger
+		if lat[0] == 0 { // no cross ports: the classic three-phase cycle
+			e = NewEngine()
+			e.SetParallel(parallel)
+		} else {
+			var tri [3]*pinger
+			e, tri = buildTriangleLat(lat, 0, parallel, true)
+			ps = tri[:]
+		}
+		e.SetMaxPartitions(2)
+		var bs []*burster
+		for s := 0; s < 2; s++ {
+			group := make([]Ticker, perShard)
+			for i := range group {
+				b := &burster{from: 100 + uint64(i%7), to: 200 + uint64(s*50+i)}
+				bs = append(bs, b)
+				group[i] = b
+			}
+			e.AddShard(fmt.Sprintf("burst%d", s), group...)
+		}
+		return e, func() string {
+			var sums, ticks []uint64
+			for _, b := range bs {
+				sums = append(sums, b.sum)
+			}
+			for _, l := range e.LoadReport() {
+				ticks = append(ticks, l.Ticks)
+			}
+			return fmt.Sprint(receipts(ps...), sums, ticks)
+		}
+	}
+	for _, lat := range [][3]uint64{{0, 0, 0}, {1, 1, 1}, {4, 4, 4}, {8, 2, 1}} {
+		run := func(parallel bool) (string, *Engine) {
+			e, result := build(lat, parallel)
+			if _, err := e.Run(cycles, nil); !errors.Is(err, ErrBudget) {
+				t.Fatalf("lat=%v parallel=%v: %v", lat, parallel, err)
+			}
+			return result(), e
+		}
+		want, _ := run(false)
+		got, e := run(true)
+		if got != want {
+			t.Fatalf("lat=%v: parallel run diverged from serial:\n%s\nvs\n%s", lat, got, want)
+		}
+		if h, d := e.Handoffs(); h == 0 || h == d {
+			t.Fatalf("lat=%v: %d of %d dispatches handed off, want some but not all", lat, h, d)
 		}
 	}
 }

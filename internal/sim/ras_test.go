@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -95,8 +96,10 @@ func (p *panicTicker) String() string { return p.name }
 // TestParallelPanicSurfacesAsError: a component panic under the parallel
 // executor becomes Run's error, naming the component and the exact cycle
 // it was executing — on the classic three-phase cycle, inside a fused
-// epoch, and inside a per-shard round — and Run stops within one window.
+// epoch, and inside a per-shard round, in a dispatch handed to the
+// workers and in one run inline — and Run stops within one window.
 func TestParallelPanicSurfacesAsError(t *testing.T) {
+	setProcs(t, 2)
 	for _, tc := range []struct {
 		name   string
 		build  func() *Engine
@@ -122,28 +125,38 @@ func TestParallelPanicSurfacesAsError(t *testing.T) {
 		}, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			e := tc.build()
-			cycles, err := e.Run(1_000, nil)
-			if err == nil {
-				t.Fatal("expected a panic-derived error")
-			}
-			if !strings.Contains(err.Error(), "core7") {
-				t.Fatalf("error does not name the panicking component: %v", err)
-			}
-			if !strings.Contains(err.Error(), "injected failure") {
-				t.Fatalf("error does not carry the panic value: %v", err)
-			}
-			if !strings.Contains(err.Error(), "panicked at cycle 10:") {
-				t.Fatalf("error does not report the executing cycle 10: %v", err)
-			}
-			if cycles > 10+tc.window {
-				t.Fatalf("run continued past the panic: stopped at %d", cycles)
-			}
-			// Step must be inert after a recovered panic.
-			before := e.Now()
-			e.Step()
-			if e.Now() != before {
-				t.Fatal("Step advanced after a recovered panic")
+			for _, handoff := range []bool{true, false} {
+				t.Run(fmt.Sprintf("handoff=%v", handoff), func(t *testing.T) {
+					e := tc.build()
+					if handoff {
+						handOffAll(e)
+					}
+					cycles, err := e.Run(1_000, nil)
+					if h, _ := e.Handoffs(); (h > 0) != handoff {
+						t.Fatalf("%d dispatches handed off; want some %v", h, handoff)
+					}
+					if err == nil {
+						t.Fatal("expected a panic-derived error")
+					}
+					if !strings.Contains(err.Error(), "core7") {
+						t.Fatalf("error does not name the panicking component: %v", err)
+					}
+					if !strings.Contains(err.Error(), "injected failure") {
+						t.Fatalf("error does not carry the panic value: %v", err)
+					}
+					if !strings.Contains(err.Error(), "panicked at cycle 10:") {
+						t.Fatalf("error does not report the executing cycle 10: %v", err)
+					}
+					if cycles > 10+tc.window {
+						t.Fatalf("run continued past the panic: stopped at %d", cycles)
+					}
+					// Step must be inert after a recovered panic.
+					before := e.Now()
+					e.Step()
+					if e.Now() != before {
+						t.Fatal("Step advanced after a recovered panic")
+					}
+				})
 			}
 		})
 	}

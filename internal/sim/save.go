@@ -176,6 +176,7 @@ func (e *Engine) RestoreState(dec *snapshot.Decoder) {
 		sh.lastTicks = dec.U64()
 		// Transient per-step state: nothing can be dirty at a boundary.
 		sh.dirtyPorts = sh.dirtyPorts[:0]
+		sh.hasDirty.Store(false)
 		// Rebuild the woken queue from the restored flags: a component that
 		// slept with a pending wake mark must be re-queued or it would
 		// never be scanned again.

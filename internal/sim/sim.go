@@ -39,6 +39,7 @@ package sim
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"reflect"
 	"runtime"
 	"sort"
@@ -195,6 +196,7 @@ type shard struct {
 	dirtyMu    sync.Mutex
 	dirtyPorts []committer
 	spareDirty []committer // double buffer reused by portPhase
+	hasDirty   atomic.Bool // dirtyPorts is non-empty; portPhase skips the lock when clear
 	asleep     int         // number of comps with asleep set
 	cur        Ticker      // component under execution, for panic diagnostics
 	at         uint64      // cycle under execution (set by tickPhase), likewise
@@ -202,8 +204,12 @@ type shard struct {
 	// crossIn holds the cross-shard ports owned by this shard's components.
 	// The shard releases their due deliveries each port phase (sealed
 	// entries from earlier epochs whose cycle has arrived); the engine
-	// seals freshly staged entries at epoch barriers.
-	crossIn []CrossPort
+	// seals freshly staged entries at epoch barriers. crossDue is a lower
+	// bound on their earliest NextDue (WakeNever when none holds an
+	// entry): a seal lowers it and each release scan recomputes it, so a
+	// shard whose ports hold nothing due skips the scan.
+	crossIn  []CrossPort
+	crossDue uint64
 
 	// wokenList queues components marked woken since the last tick phase,
 	// replacing a per-cycle scan of every component. Appended under wokenMu
@@ -247,6 +253,7 @@ type shard struct {
 func (sh *shard) markDirty(pt committer) {
 	sh.dirtyMu.Lock()
 	sh.dirtyPorts = append(sh.dirtyPorts, pt)
+	sh.hasDirty.Store(true)
 	sh.dirtyMu.Unlock()
 }
 
@@ -297,18 +304,25 @@ type Engine struct {
 	stuckSince uint64
 
 	// Conservative lookahead state. crossPorts lists every registered
-	// cross-shard port; dirtyCross queues the ones sent to since the last
-	// barrier (self-enqueued via their onDirty hook) for sealing.
-	// lookahead is the configured epoch cap (0 = auto); epochs counts
-	// completed multi-cycle epochs for observability.
-	crossPorts []CrossPort
-	sinkPorts  []committer
-	crossMu    sync.Mutex
-	dirtyCross []CrossPort
-	spareCross []CrossPort
-	lookahead  uint64
-	epochs     uint64
-	epochN     uint64 // cycles in the epoch being dispatched
+	// cross-shard port; dirtyCross queues the indices of the ones sent to
+	// since the last barrier (self-enqueued via their onDirty hook) for
+	// sealing. crossPending is a bitmap over crossPorts indices marking the
+	// ports that may hold sealed entries, so the barrier's release loop
+	// visits only those, in registration order: a seal that leaves entries
+	// sets the bit, the barrier clears it once the port's future list is
+	// empty, and syncCross rebuilds it on entry to Run and Step. lookahead is the configured epoch cap
+	// (0 = auto); epochs counts completed multi-cycle epochs for
+	// observability.
+	crossPorts   []CrossPort
+	crossOwner   []*shard // the shard owning each crossPorts entry
+	sinkPorts    []committer
+	crossMu      sync.Mutex
+	dirtyCross   []int32
+	spareCross   []int32
+	crossPending []uint64
+	lookahead    uint64
+	epochs       uint64
+	epochN       uint64 // cycles in the epoch being dispatched
 
 	// Per-shard window state (DESIGN.md §14). perShardOff disables the
 	// per-shard executor (the zero value keeps it on); shardWins and
@@ -341,6 +355,16 @@ type Engine struct {
 	coord   parker
 	wg      sync.WaitGroup
 
+	// handoffMin is the estimated work (component ticks, see opWork) from
+	// which a dispatch is handed to the workers; lighter ones run inline.
+	// handoffWork unless a test lowers it to hand off every dispatch.
+	// dispatched counts the dispatches made while workers ran and handoffs
+	// the ones handed to them: wall-time diagnostics like epochs, never
+	// checkpointed.
+	handoffMin uint64
+	dispatched uint64
+	handoffs   uint64
+
 	// Observability hooks; both nil unless installed (SetTrace/SetProfile).
 	trace *Trace
 	prof  *Profile
@@ -361,7 +385,9 @@ type partitionErr struct {
 }
 
 // NewEngine returns an empty serial engine.
-func NewEngine() *Engine { return &Engine{owners: map[Ticker]*compState{}} }
+func NewEngine() *Engine {
+	return &Engine{owners: map[Ticker]*compState{}, handoffMin: handoffWork}
+}
 
 // SetParallel switches the engine between the serial executor and the
 // partition-parallel executor. Results are identical either way.
@@ -397,7 +423,7 @@ func (e *Engine) SetRepartition(every uint64) { e.repartEvery = every }
 // share a shard only if they also share staged state; port-based
 // communication is always safe across shards.
 func (e *Engine) AddShard(label string, components ...Ticker) int {
-	sh := &shard{id: len(e.shards), label: label}
+	sh := &shard{id: len(e.shards), label: label, crossDue: WakeNever}
 	if sh.label == "" {
 		sh.label = fmt.Sprintf("shard%d", sh.id)
 	}
@@ -529,10 +555,15 @@ func (e *Engine) AddCrossPortFor(owner Ticker, ports ...CrossPort) {
 		panic("sim: AddCrossPortFor owner is not a registered component")
 	}
 	sh, si := cs.sh, cs.si
-	for _, p := range ports {
-		p.markCross()
-		cp := p
-		cp.SetOnDirty(func() { e.markCrossDirty(cp) })
+	for _, cp := range ports {
+		cp.markCross()
+		idx := int32(len(e.crossPorts))
+		e.crossPorts = append(e.crossPorts, cp)
+		e.crossOwner = append(e.crossOwner, sh)
+		if len(e.crossPending) <= int(idx)/64 {
+			e.crossPending = append(e.crossPending, 0)
+		}
+		cp.SetOnDirty(func() { e.markCrossDirty(idx) })
 		cp.SetOnDeliver(func(visibleAt uint64) {
 			sh.markWoken(cs)
 			if t := e.trace; t != nil {
@@ -540,15 +571,14 @@ func (e *Engine) AddCrossPortFor(owner Ticker, ports ...CrossPort) {
 			}
 		})
 		sh.crossIn = append(sh.crossIn, cp)
-		e.crossPorts = append(e.crossPorts, cp)
 	}
 }
 
-// markCrossDirty queues a cross-shard port for sealing at the next epoch
+// markCrossDirty queues cross-shard port idx for sealing at the next epoch
 // barrier. Fired at most once per port per epoch (the port's dirty CAS).
-func (e *Engine) markCrossDirty(p CrossPort) {
+func (e *Engine) markCrossDirty(idx int32) {
 	e.crossMu.Lock()
-	e.dirtyCross = append(e.dirtyCross, p)
+	e.dirtyCross = append(e.dirtyCross, idx)
 	e.crossMu.Unlock()
 }
 
@@ -833,7 +863,10 @@ func (e *Engine) repartition() {
 // Step advances the simulation by exactly one cycle. After a component
 // panic has been recovered in parallel mode (see Err), Step is a no-op:
 // the faulting partition's state is no longer trustworthy.
-func (e *Engine) Step() { e.advance(1) }
+func (e *Engine) Step() {
+	e.syncCross()
+	e.advance(1)
+}
 
 // advance runs the next n cycles as one epoch, including the barrier that
 // follows them. The fused epoch path dispatches once: each partition runs
@@ -881,9 +914,17 @@ func (e *Engine) barrier() {
 		return
 	}
 	e.sealCross()
-	for _, cp := range e.crossPorts {
-		if cp.NextDue() <= e.now {
-			cp.ReleaseDue(e.now)
+	for w, word := range e.crossPending {
+		for word != 0 {
+			b := bits.TrailingZeros64(word)
+			word &= word - 1
+			cp := e.crossPorts[w*64+b]
+			if cp.NextDue() <= e.now {
+				cp.ReleaseDue(e.now)
+			}
+			if cp.NextDue() == WakeNever {
+				e.crossPending[w] &^= 1 << b
+			}
 		}
 	}
 	for _, pt := range e.sinkPorts {
@@ -893,18 +934,45 @@ func (e *Engine) barrier() {
 
 // sealCross merges every cross-shard port's freshly staged sends into its
 // future list (the Seal is ordered by (release,key,seq), so the merge is
-// independent of the drain order here). Called with all phase work idle:
-// at epoch barriers, and at the end of every per-shard round.
+// independent of the drain order here) and marks the port pending. Called
+// with all phase work idle: at epoch barriers, and at the end of every
+// per-shard round.
 func (e *Engine) sealCross() {
 	e.crossMu.Lock()
 	dirty := e.dirtyCross
 	e.dirtyCross = e.spareCross[:0]
 	e.crossMu.Unlock()
-	for i, cp := range dirty {
+	for _, idx := range dirty {
+		cp := e.crossPorts[idx]
 		cp.Seal(e.now)
-		dirty[i] = nil
+		e.markPending(int(idx))
 	}
 	e.spareCross = dirty[:0]
+}
+
+// markPending records that cross port idx may hold sealed entries: its
+// bit in the pending bitmap, and its owning shard's crossDue.
+func (e *Engine) markPending(idx int) {
+	if due := e.crossPorts[idx].NextDue(); due != WakeNever {
+		e.crossPending[idx/64] |= 1 << (idx % 64)
+		sh := e.crossOwner[idx]
+		sh.crossDue = min(sh.crossDue, due)
+	}
+}
+
+// syncCross rebuilds the pending bitmap and the shards' crossDue bounds
+// from every cross port's future list. Run and Step call it on entry,
+// because between calls host code may have restored ports from a
+// checkpoint; inside Run only seals add entries, and sealCross marks
+// those.
+func (e *Engine) syncCross() {
+	clear(e.crossPending)
+	for _, sh := range e.shards {
+		sh.crossDue = WakeNever
+	}
+	for i := range e.crossPorts {
+		e.markPending(i)
+	}
 }
 
 // advanceWindow runs the next n >= 2 cycles with per-shard fused blocks:
@@ -966,19 +1034,27 @@ func (e *Engine) advanceWindow(n uint64) {
 // Distinct partitions touch disjoint winClocks entries, and the round
 // bounds were published before dispatch.
 func (e *Engine) runRound(p *partition) {
-	m, end := e.roundClock, e.roundEnd
+	m := e.roundClock
 	for _, sh := range p.shards {
-		if e.winClocks[sh.id] != m {
+		w := e.roundBlock(sh)
+		if w == 0 {
 			continue
-		}
-		w := e.shardWins[sh.id]
-		if r := end - m; r < w {
-			w = r
 		}
 		p.cur = sh
 		runShardBlock(sh, m, w)
 		e.winClocks[sh.id] = m + w
 	}
+}
+
+// roundBlock returns the cycles shard sh runs in the current min-clock
+// round: its window, clipped to the window end, when its clock matches
+// the round's, else 0.
+func (e *Engine) roundBlock(sh *shard) uint64 {
+	m := e.roundClock
+	if e.winClocks[sh.id] != m {
+		return 0
+	}
+	return min(e.shardWins[sh.id], e.roundEnd-m)
 }
 
 // runShardBlock runs one shard's fused block of n cycles starting at
@@ -987,11 +1063,7 @@ func (e *Engine) runRound(p *partition) {
 // in portPhase), then the three phases run cycle by cycle with the same
 // shard-major locality as runEpochPhases.
 func runShardBlock(sh *shard, start, n uint64) {
-	for _, cp := range sh.crossIn {
-		if cp.NextDue() <= start {
-			cp.ReleaseDue(start)
-		}
-	}
+	sh.releaseCross(start)
 	for t, end := start, start+n; t < end; t++ {
 		sh.tickPhase(t)
 		sh.portPhase(t)
@@ -1099,26 +1171,40 @@ func (sh *shard) portPhase(now uint64) {
 	for _, pt := range sh.ports {
 		pt.Commit(now)
 	}
-	sh.dirtyMu.Lock()
-	dirty := sh.dirtyPorts
-	sh.dirtyPorts = sh.spareDirty[:0]
-	sh.dirtyMu.Unlock()
-	for i, pt := range dirty {
-		pt.Commit(now)
-		dirty[i] = nil
-	}
-	sh.spareDirty = dirty[:0]
-	// Release cross-shard deliveries falling due mid-epoch: envelopes
-	// sealed at earlier barriers whose cycle has arrived. NextDue is a
-	// cached field, so idle cross ports cost one load.
-	for _, cp := range sh.crossIn {
-		if cp.NextDue() <= now+1 {
-			cp.ReleaseDue(now + 1)
+	if sh.hasDirty.Load() {
+		sh.dirtyMu.Lock()
+		dirty := sh.dirtyPorts
+		sh.dirtyPorts = sh.spareDirty[:0]
+		sh.hasDirty.Store(false)
+		sh.dirtyMu.Unlock()
+		for i, pt := range dirty {
+			pt.Commit(now)
+			dirty[i] = nil
 		}
+		sh.spareDirty = dirty[:0]
 	}
+	// Release cross-shard deliveries falling due mid-epoch: envelopes
+	// sealed at earlier barriers whose cycle has arrived.
+	sh.releaseCross(now + 1)
 	if sh.prof != nil {
 		sh.prof.add(sh.id, 1, time.Since(t0))
 	}
+}
+
+// releaseCross publishes the shard's cross-shard deliveries due by cycle
+// t and recomputes crossDue. A shard with nothing due returns at once.
+func (sh *shard) releaseCross(t uint64) {
+	if sh.crossDue > t {
+		return
+	}
+	due := WakeNever
+	for _, cp := range sh.crossIn {
+		if cp.NextDue() <= t {
+			cp.ReleaseDue(t)
+		}
+		due = min(due, cp.NextDue())
+	}
+	sh.crossDue = due
 }
 
 // commitPhase commits active components, then lets each declare itself
@@ -1245,23 +1331,87 @@ func (e *Engine) recoverPartition(pi int, p *partition) {
 	}
 }
 
+// handoffWork is the estimated work, in component ticks, from which a
+// dispatch is worth handing to the workers. A handoff costs a publish, a
+// worker's poll or wake-up, and the wait for its pending decrement; it
+// saves at most the share of the work the other partitions run
+// concurrently, about half with two partitions. Measured on a 2-CPU
+// Xeon host (Go 1.24, linux/amd64): BenchmarkDispatch hands off a
+// near-empty cycle in about 2.0 µs against 0.4 µs inline, so a handoff
+// costs H ≈ 1.6 µs; a serial run of SPM-staged kmeans on the 256-core
+// chip spends c ≈ 270 ns per component tick (9.4 s over 35.0M ticks).
+// Work W pays for a handoff when W·c/2 > H, so W > 2H/c ≈ 12 ticks with
+// perfectly balanced partitions. The constant sits about five times
+// higher because a dispatch's work is rarely balanced (a min-clock round
+// often runs one shard) and a worker that has parked costs a wake-up
+// rather than a poll. On that host every value from 16 to 256 ran all
+// but at most 17 of a 64-core kmp run's 1.26M dispatches inline and
+// handed 50% (16) to 32% (256) of the 256-core kmeans run's 186k rounds
+// to the workers, at the same speed within noise; 1024 kept every round
+// inline, which ran the kmeans run at serial speed. Tuning it only moves
+// wall time: the partition assignment is the same either way, so
+// simulated histories are identical for every value.
+const handoffWork = 64
+
 // dispatch runs op on every partition and returns once all have finished:
 // it is the barrier between the op and whatever the caller does next.
-// With workers started, the caller publishes the op, wakes the workers,
-// runs partition 0 itself, and waits for the pending count to drain, so a
-// cycle costs one handoff each way. Otherwise it runs every partition in
+// With workers started and enough work in the op (opWork at least
+// handoffMin), the caller publishes the op, wakes the workers, runs
+// partition 0 itself, and waits for the pending count to drain, so the
+// op costs one handoff each way. Otherwise it runs every partition in
 // turn on the caller.
 func (e *Engine) dispatch(op uint8) {
-	if e.workers == nil {
-		for pi := range e.parts {
-			e.runOp(pi, op)
+	if e.workers != nil {
+		e.dispatched++
+		if e.opWork(op) >= e.handoffMin {
+			e.handoffs++
+			e.publish(op)
+			e.runOp(0, op)
+			e.coord.await(func() bool { return e.pending.Load() == 0 })
+			return
 		}
-		return
 	}
-	e.publish(op)
-	e.runOp(0, op)
-	e.coord.await(func() bool { return e.pending.Load() == 0 })
+	for pi := range e.parts {
+		e.runOp(pi, op)
+	}
 }
+
+// opWork estimates the component ticks op will run: for every shard
+// taking part, the components about to tick (active plus queued wakes)
+// times the cycles the op covers for that shard — one for a phase of a
+// classic cycle, the epoch length for an epoch, and the shard's block in
+// a min-clock round. Read between dispatches, when no partition runs.
+func (e *Engine) opWork(op uint8) uint64 {
+	var w uint64
+	if op == opRound {
+		for _, sh := range e.shards {
+			w += sh.tickLoad() * e.roundBlock(sh)
+		}
+		return w
+	}
+	for _, sh := range e.shards {
+		w += sh.tickLoad()
+	}
+	if op == opEpoch {
+		w *= e.epochN
+	}
+	return w
+}
+
+// tickLoad is the number of components the shard's next tick phase runs,
+// not counting timer wake-ups.
+func (sh *shard) tickLoad() uint64 {
+	return uint64(len(sh.active) + len(sh.wokenList))
+}
+
+// Handoffs reports how many dispatches Run handed to its workers, and
+// how many it made while workers ran: handed over dispatched is the share
+// of dispatches heavy enough to run partitions concurrently; the rest ran
+// inline on the caller. Both are 0 unless workers started (the parallel
+// executor with more than one partition and more than one CPU). A
+// wall-time diagnostic like Epochs: never part of the simulated history,
+// never checkpointed.
+func (e *Engine) Handoffs() (handed, dispatched uint64) { return e.handoffs, e.dispatched }
 
 // publish hands op to every worker: everything the coordinator wrote
 // before the generation bump is visible to a worker that observes it.
@@ -1511,6 +1661,7 @@ func (e *Engine) checkWatchdog() error {
 // the configured cycle cadence.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	e.ensureParts()
+	e.syncCross()
 	if e.parallel && len(e.parts) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		e.startWorkers()
 		defer e.stopWorkers()

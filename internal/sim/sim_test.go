@@ -393,6 +393,7 @@ func TestWorkerBarrierPhases(t *testing.T) {
 			},
 		})
 	}
+	handOffAll(e)
 	e.startWorkers()
 	defer e.stopWorkers()
 	for i := 0; i < 100; i++ {
@@ -401,6 +402,7 @@ func TestWorkerBarrierPhases(t *testing.T) {
 	if got := inTick.Load(); got != 100*parts {
 		t.Fatalf("ticks = %d, want %d", got, 100*parts)
 	}
+	checkHandedOff(t, e)
 }
 
 func TestWorkerExecutorMatchesSerial(t *testing.T) {
@@ -414,11 +416,15 @@ func TestWorkerExecutorMatchesSerial(t *testing.T) {
 		}
 		e.AddPort(port)
 		if workers {
+			handOffAll(e)
 			e.startWorkers()
 			defer e.stopWorkers()
 		}
 		for i := 0; i < 10; i++ {
 			e.Step()
+		}
+		if workers {
+			checkHandedOff(t, e)
 		}
 		var got []uint64
 		return port.DrainInto(got, 0)
