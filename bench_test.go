@@ -28,7 +28,10 @@ const benchSeed = 1
 
 func BenchmarkFig01_ConvThreadScaling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		results := experiments.Fig01ThreadScaling(benchScale(), benchSeed)
+		results, err := experiments.Fig01ThreadScaling(benchScale(), benchSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
 		last := results[0].Points[len(results[0].Points)-1]
 		b.ReportMetric(last.IdleRatio, "idle-ratio@128t")
 		b.ReportMetric(last.StarveRatio, "starve-ratio@128t")
@@ -37,7 +40,10 @@ func BenchmarkFig01_ConvThreadScaling(b *testing.B) {
 
 func BenchmarkFig01_CacheHierarchy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := experiments.Fig01CacheHierarchy(benchScale(), benchSeed)
+		rows, err := experiments.Fig01CacheHierarchy(benchScale(), benchSeed)
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(rows[0].L1Miss, "L1-miss")
 		b.ReportMetric(rows[0].LLCLat, "LLC-lat-cycles")
 	}

@@ -7,7 +7,7 @@
 //	smarcobench -scale paper         # paper-sized configurations (slow)
 //	smarcobench -only fig17,fig22    # a subset
 //	smarcobench -engine              # engine throughput -> BENCH_engine.json
-//	smarcobench -suite               # run-pool suite wall-clock -> BENCH_suite.json
+//	smarcobench -suite               # run-pool suite and time-to-figure -> BENCH_suite.json
 //	smarcobench -engine-smoke BENCH_floor.json  # CI guard: fail on throughput regression
 //	smarcobench -chaos               # chaos resilience ladder on the dual card
 package main
@@ -33,10 +33,18 @@ type runner func(scale experiments.Scale, seed uint64) (string, error)
 
 var all = map[string]runner{
 	"fig1ab": func(s experiments.Scale, seed uint64) (string, error) {
-		return experiments.Fig01Table(experiments.Fig01ThreadScaling(s, seed)).String(), nil
+		r, err := experiments.Fig01ThreadScaling(s, seed)
+		if err != nil {
+			return "", err
+		}
+		return experiments.Fig01Table(r).String(), nil
 	},
 	"fig1cd": func(s experiments.Scale, seed uint64) (string, error) {
-		return experiments.Fig01CacheTable(experiments.Fig01CacheHierarchy(s, seed)).String(), nil
+		r, err := experiments.Fig01CacheHierarchy(s, seed)
+		if err != nil {
+			return "", err
+		}
+		return experiments.Fig01CacheTable(r).String(), nil
 	},
 	"fig2": func(s experiments.Scale, seed uint64) (string, error) {
 		return experiments.Fig02Table(experiments.Fig02CDN(seed)).String(), nil
@@ -263,25 +271,63 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 }
 
 // suiteSnapshot is the BENCH_suite.json schema: the run-level pool's
-// wall-clock effect on the heaviest harness grid (the full ablation sweep),
-// one entry per engine version, oldest first.
+// wall-clock effect on the heaviest harness grid (the full ablation sweep)
+// and on every other figure, one entry per engine version, oldest first.
 type suiteSnapshot struct {
 	Suite   string       `json:"suite"`
 	Entries []suiteEntry `json:"entries"`
 }
 
 type suiteEntry struct {
-	Label      string                 `json:"label"`
-	Date       string                 `json:"date"`
+	Label string `json:"label"`
+	Date  string `json:"date"`
+	// NProc is the CPU count the process could use. Entries recorded
+	// before it was kept omit it.
+	NProc      int                    `json:"nproc,omitempty"`
 	GOMAXPROCS int                    `json:"gomaxprocs"`
 	Runs       []experiments.SuiteRun `json:"runs"`
 	// Speedup is serial wall time over the widest pool's wall time. On a
 	// single-CPU host both runs are serial and this sits near 1.
 	Speedup float64 `json:"speedup"`
+	// Figures is the time-to-figure table: each small-scale figure's wall
+	// time at every pool size of Runs (the ablation grid is Runs itself).
+	// Entries recorded before it was kept omit it.
+	Figures []figureTime `json:"figures,omitempty"`
 }
 
-// benchSuite times the ablation grid at pool sizes 1 and GOMAXPROCS and
-// appends the measurement to the suite snapshot file.
+// figureTime is one figure's wall time at one run-pool size.
+type figureTime struct {
+	Figure      string  `json:"figure"`
+	Workers     int     `json:"workers"`
+	WallSeconds float64 `json:"wall_seconds"`
+}
+
+// timeFigures times every figure but the ablation grid at small scale, at
+// each pool size, restoring the pool bound afterwards.
+func timeFigures(seed uint64, sizes []int) ([]figureTime, error) {
+	defer experiments.SetPoolWorkers(experiments.PoolWorkers())
+	var out []figureTime
+	for _, name := range order {
+		if name == "ablations" {
+			continue
+		}
+		for _, n := range sizes {
+			experiments.SetPoolWorkers(n)
+			start := time.Now()
+			if _, err := all[name](experiments.ScaleSmall, seed); err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			ft := figureTime{Figure: name, Workers: n, WallSeconds: time.Since(start).Seconds()}
+			fmt.Printf("figure %-9s workers=%-3d wall=%.2fs\n", ft.Figure, ft.Workers, ft.WallSeconds)
+			out = append(out, ft)
+		}
+	}
+	return out, nil
+}
+
+// benchSuite times the ablation grid and then every other figure at pool
+// sizes 1 and GOMAXPROCS, and appends the measurement to the suite
+// snapshot file.
 func benchSuite(path, label string, seed uint64) error {
 	var snap suiteSnapshot
 	if raw, err := os.ReadFile(path); err == nil {
@@ -295,6 +341,7 @@ func benchSuite(path, label string, seed uint64) error {
 	entry := suiteEntry{
 		Label:      label,
 		Date:       time.Now().Format("2006-01-02"),
+		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
 	sizes := []int{1}
@@ -310,6 +357,11 @@ func benchSuite(path, label string, seed uint64) error {
 		entry.Runs = append(entry.Runs, r)
 	}
 	entry.Speedup = entry.Runs[0].WallSeconds / entry.Runs[len(entry.Runs)-1].WallSeconds
+	figures, err := timeFigures(seed, sizes)
+	if err != nil {
+		return err
+	}
+	entry.Figures = figures
 	snap.Entries = append(snap.Entries, entry)
 	raw, err := json.MarshalIndent(&snap, "", "  ")
 	if err != nil {
@@ -403,7 +455,7 @@ func main() {
 	engineOut := flag.String("engine-out", "BENCH_engine.json", "engine snapshot file")
 	engineLabel := flag.String("engine-label", "engine snapshot", "label for the new snapshot entry")
 	jsonOut := flag.String("json", "", "with -engine: write unified metrics snapshots (chip.Snapshot array) to FILE")
-	suite := flag.Bool("suite", false, "time the ablation suite at run-pool sizes 1 and GOMAXPROCS, append to -suite-out")
+	suite := flag.Bool("suite", false, "time the ablation suite and every other figure at run-pool sizes 1 and GOMAXPROCS, append to -suite-out")
 	suiteOut := flag.String("suite-out", "BENCH_suite.json", "suite snapshot file")
 	suiteLabel := flag.String("suite-label", "suite snapshot", "label for the new suite entry")
 	smoke := flag.String("engine-smoke", "", "run the CI smoke benchmark against this floor file and exit")

@@ -38,25 +38,44 @@ func (s *Stats) MissRatio() float64 {
 	return stats.Ratio(s.Misses.Value(), s.Accesses.Value())
 }
 
+// way is one tag-array entry, 16 bytes. A way is valid exactly when
+// used != 0: every fill and hit stamps the pre-incremented tick, which is
+// at least 1, and invalidation zeroes the way. The dirty bit rides in the
+// tag's top bit; tags are line numbers (addr >> log2(LineBytes), with lines
+// of at least two bytes), so that bit is never part of a tag.
 type way struct {
-	valid bool
-	dirty bool
-	tag   uint64
-	used  uint64 // LRU timestamp
+	tag  uint64 // line number, plus dirtyBit
+	used uint64 // LRU timestamp; 0 marks an invalid way
 }
 
-// Cache is a set-associative tag array with true-LRU replacement.
+const dirtyBit = 1 << 63
+
+// chunkSets is how many sets share one lazily allocated block of ways (a
+// smaller cache is one chunk). Memory follows the sets a run fills: the
+// conventional baseline's 64 MB, 16-way LLC is 256 chunks of 64 KB, and a
+// run that fills a few of them pays for those rather than for 16 MB of
+// ways up front.
+const chunkSets = 256
+
+// Cache is a set-associative tag array with true-LRU replacement. Ways are
+// stored set-major in chunks of chunkSets sets; a chunk is allocated on its
+// first Fill, and lookups in a chunk never filled miss without allocating.
 type Cache struct {
-	cfg     Config
-	sets    [][]way
-	setMask uint64
-	shift   uint
-	tick    uint64
-	Stats   Stats
+	cfg        Config
+	chunks     [][]way // chunk i holds sets i<<chunkShift onward; nil until filled
+	setMask    uint64
+	chunkShift uint // log2 of the sets per chunk
+	shift      uint // log2 of the line size
+	tick       uint64
+	Stats      Stats
 }
 
-// New builds a cache. Size must be divisible by LineBytes*Ways.
+// New builds a cache. Size must be divisible by LineBytes*Ways, and the line
+// size and set count must be powers of two.
 func New(cfg Config) (*Cache, error) {
+	if cfg.LineBytes < 2 || cfg.LineBytes&(cfg.LineBytes-1) != 0 {
+		return nil, fmt.Errorf("cache: line size %d not a power of two of at least 2", cfg.LineBytes)
+	}
 	lines := cfg.SizeBytes / cfg.LineBytes
 	if lines <= 0 || cfg.Ways <= 0 || lines%cfg.Ways != 0 {
 		return nil, fmt.Errorf("cache: bad geometry %+v", cfg)
@@ -65,19 +84,14 @@ func New(cfg Config) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: set count %d not a power of two", nsets)
 	}
-	var shift uint
-	for 1<<shift < cfg.LineBytes {
-		shift++
+	c := &Cache{cfg: cfg, setMask: uint64(nsets - 1)}
+	for 1<<c.shift < cfg.LineBytes {
+		c.shift++
 	}
-	c := &Cache{
-		cfg:     cfg,
-		sets:    make([][]way, nsets),
-		setMask: uint64(nsets - 1),
-		shift:   shift,
+	for 1<<c.chunkShift < min(nsets, chunkSets) {
+		c.chunkShift++
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]way, cfg.Ways)
-	}
+	c.chunks = make([][]way, nsets>>c.chunkShift)
 	return c, nil
 }
 
@@ -101,9 +115,36 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 
 // locate returns the set index and the tag. The tag is the full line number
 // (set bits included), which makes victim-address reconstruction trivial.
-func (c *Cache) locate(addr uint64) (set int, tag uint64) {
+func (c *Cache) locate(addr uint64) (set, tag uint64) {
 	line := addr >> c.shift
-	return int(line & c.setMask), line
+	return line & c.setMask, line
+}
+
+// set returns the ways of set s, or nil while its chunk has never been
+// filled.
+func (c *Cache) set(s uint64) []way {
+	chunk := c.chunks[s>>c.chunkShift]
+	if chunk == nil {
+		return nil
+	}
+	i := int(s&(1<<c.chunkShift-1)) * c.cfg.Ways
+	return chunk[i : i+c.cfg.Ways]
+}
+
+// allocate gives set s's chunk its ways and returns the set's.
+func (c *Cache) allocate(s uint64) []way {
+	c.chunks[s>>c.chunkShift] = make([]way, c.cfg.Ways<<c.chunkShift)
+	return c.set(s)
+}
+
+// lookup returns the valid way of set holding tag, or nil.
+func lookup(set []way, tag uint64) *way {
+	for i := range set {
+		if w := &set[i]; w.tag&^dirtyBit == tag && w.used != 0 {
+			return w
+		}
+	}
+	return nil
 }
 
 // Access looks up addr, updating LRU state and statistics. Returns whether
@@ -113,15 +154,12 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 	c.tick++
 	c.Stats.Accesses.Inc()
 	set, tag := c.locate(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			w.used = c.tick
-			if write {
-				w.dirty = true
-			}
-			return true
+	if w := lookup(c.set(set), tag); w != nil {
+		w.used = c.tick
+		if write {
+			w.tag |= dirtyBit
 		}
+		return true
 	}
 	c.Stats.Misses.Inc()
 	return false
@@ -130,13 +168,7 @@ func (c *Cache) Access(addr uint64, write bool) bool {
 // Probe reports whether addr is resident without touching LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.locate(addr)
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
+	return lookup(c.set(set), tag) != nil
 }
 
 // Fill installs the line containing addr, evicting the LRU way if needed.
@@ -144,50 +176,48 @@ func (c *Cache) Probe(addr uint64) bool {
 // required.
 func (c *Cache) Fill(addr uint64, write bool) (victim uint64, writeback bool) {
 	c.tick++
-	set, tag := c.locate(addr)
+	s, tag := c.locate(addr)
+	set := c.set(s)
+	if set == nil {
+		set = c.allocate(s)
+	}
 	// Already present (e.g. a second miss to the same line raced the fill).
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if w.valid && w.tag == tag {
-			w.used = c.tick
-			if write {
-				w.dirty = true
-			}
-			return 0, false
+	if w := lookup(set, tag); w != nil {
+		w.used = c.tick
+		if write {
+			w.tag |= dirtyBit
 		}
+		return 0, false
 	}
 	lru := 0
-	for i := range c.sets[set] {
-		w := &c.sets[set][i]
-		if !w.valid {
+	for i := range set {
+		if set[i].used == 0 {
 			lru = i
 			break
 		}
-		if w.used < c.sets[set][lru].used {
+		if set[i].used < set[lru].used {
 			lru = i
 		}
 	}
-	w := &c.sets[set][lru]
-	if w.valid {
+	w := &set[lru]
+	if w.used != 0 {
 		c.Stats.Evictions.Inc()
-		victim = w.tag << c.shift
-		writeback = w.dirty
+		victim = (w.tag &^ dirtyBit) << c.shift
+		writeback = w.tag&dirtyBit != 0
 		if writeback {
 			c.Stats.Writeback.Inc()
 		}
 	}
-	*w = way{valid: true, dirty: write, tag: tag, used: c.tick}
+	*w = way{tag: tag, used: c.tick}
+	if write {
+		w.tag |= dirtyBit
+	}
 	return victim, writeback
 }
 
 // HitLatency returns the configured hit latency.
 func (c *Cache) HitLatency() int { return c.cfg.HitLatency }
 
-// InvalidateAll clears the cache (used between benchmark phases).
-func (c *Cache) InvalidateAll() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			c.sets[s][w] = way{}
-		}
-	}
-}
+// InvalidateAll clears the cache (used between benchmark phases) and
+// releases its ways.
+func (c *Cache) InvalidateAll() { clear(c.chunks) }

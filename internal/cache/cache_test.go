@@ -1,10 +1,15 @@
 package cache
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"smarco/internal/sim"
+	"smarco/internal/snapshot"
 )
 
 func TestColdMissThenHit(t *testing.T) {
@@ -123,6 +128,11 @@ func TestBadGeometryErrors(t *testing.T) {
 	if _, err := New(Config{SizeBytes: 24 << 10, LineBytes: 64, Ways: 2}); err == nil {
 		t.Fatal("expected error for non-power-of-two set count")
 	}
+	for _, line := range []int{0, 1, 48} {
+		if _, err := New(Config{SizeBytes: 96 << 10, LineBytes: line, Ways: 2}); err == nil {
+			t.Fatalf("expected error for %d-byte lines", line)
+		}
+	}
 }
 
 func TestMustNewPanics(t *testing.T) {
@@ -184,5 +194,149 @@ func TestMatchesReferenceModel(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// llcGeometry is the conventional baseline's LLC (conv.XeonE78890V4): 64 MB,
+// 16-way, 64K sets.
+var llcGeometry = Config{SizeBytes: 64 << 20, LineBytes: 64, Ways: 16, HitLatency: 40}
+
+func TestUnfilledSetMissesWithoutAllocating(t *testing.T) {
+	c := MustNew(llcGeometry)
+	c.Fill(0, false) // one chunk filled; the probed set lives in another
+	addr := uint64(40_000) << 6
+	if n := testing.AllocsPerRun(100, func() {
+		if c.Access(addr, true) || c.Probe(addr) {
+			t.Fatal("never-filled set hit")
+		}
+	}); n != 0 {
+		t.Fatalf("lookups in a never-filled set allocate %v times per run", n)
+	}
+	if c.set(40_000) != nil {
+		t.Fatal("a lookup allocated the never-filled set's chunk")
+	}
+	if got := c.Stats.Misses.Value(); got != c.Stats.Accesses.Value() {
+		t.Fatalf("misses = %d of %d accesses", got, c.Stats.Accesses.Value())
+	}
+}
+
+func TestLLCGeometryAllocatesOnlyWhatItFills(t *testing.T) {
+	allocated := func(f func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		f()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	var c *Cache
+	if n := allocated(func() { c = MustNew(llcGeometry) }); n >= 1<<20 {
+		t.Fatalf("building the LLC allocated %d bytes before its first fill", n)
+	}
+	if n := allocated(func() { c.Fill(0x1234_5678, true) }); n >= 1<<20 {
+		t.Fatalf("the LLC's first fill allocated %d bytes", n)
+	}
+	if !c.Probe(0x1234_5678) {
+		t.Fatal("filled line not resident")
+	}
+}
+
+// fillSparse drives a 1024-set, 2-way cache through a fixed mix of reads,
+// writes, fills and evictions that touches only sets 0-39 and 600-639, plus
+// a dirty fill of the largest line, so whole chunks stay unfilled.
+func fillSparse() *Cache {
+	const nsets = 1024
+	c := MustNew(Config{SizeBytes: 128 << 10, LineBytes: 64, Ways: 2, HitLatency: 1})
+	rng := sim.NewRNG(7)
+	for i := 0; i < 3000; i++ {
+		set := uint64(rng.Intn(40))
+		if rng.Intn(2) == 1 {
+			set += 600
+		}
+		addr := (uint64(rng.Intn(5))*nsets+set)<<6 | uint64(rng.Intn(64))
+		write := rng.Intn(4) == 0
+		if !c.Access(addr, write) {
+			c.Fill(addr, write)
+		}
+	}
+	c.Fill(^uint64(0), true)
+	return c
+}
+
+// TestSaveStateBytesPinned: the snapshot encoding is the one the dense tag
+// array wrote (digest recorded from it for fillSparse), and it round-trips.
+func TestSaveStateBytesPinned(t *testing.T) {
+	const (
+		wantLen    = 41004
+		wantDigest = "fbf7b2f48889adffd6a21fdf910cde13ee477224c50d7f3d7fdef95d18492464"
+	)
+	c := fillSparse()
+	e := snapshot.NewEncoder()
+	c.SaveState(e)
+	if got := fmt.Sprintf("%x", sha256.Sum256(e.Bytes())); e.Len() != wantLen || got != wantDigest {
+		t.Fatalf("SaveState: %d bytes, sha256 %s; want %d bytes, sha256 %s", e.Len(), got, wantLen, wantDigest)
+	}
+	// Restore into a cache with state of its own: every trace of it goes.
+	r := MustNew(c.Config())
+	r.Fill(300<<6, true)
+	d := snapshot.NewDecoder(e.Bytes())
+	r.RestoreState(d)
+	if err := d.Err(); err != nil || d.Remaining() != 0 {
+		t.Fatalf("restore: err %v, %d bytes left", err, d.Remaining())
+	}
+	e2 := snapshot.NewEncoder()
+	r.SaveState(e2)
+	if !bytes.Equal(e.Bytes(), e2.Bytes()) {
+		t.Fatal("Save -> Restore -> Save changed the bytes")
+	}
+	for i, chunk := range r.chunks {
+		if (chunk != nil) != (c.chunks[i] != nil) {
+			t.Fatalf("chunk %d allocated %t after restore, %t in the saved cache", i, chunk != nil, c.chunks[i] != nil)
+		}
+	}
+}
+
+func TestRestoreRejectsUnrepresentableWay(t *testing.T) {
+	c := MustNew(Config{SizeBytes: 128, LineBytes: 64, Ways: 1, HitLatency: 1})
+	for _, tc := range []struct {
+		name         string
+		valid, dirty bool
+		tag, used    uint64
+	}{
+		{"valid without a stamp", true, false, 5, 0},
+		{"invalid with a stamp", false, false, 0, 3},
+		{"invalid with a tag", false, false, 5, 0},
+		{"tag using the dirty bit", true, false, 1 << 63, 3},
+	} {
+		e := snapshot.NewEncoder()
+		e.U64(9)
+		e.U32(2)
+		for s := 0; s < 2; s++ {
+			e.U32(1)
+			e.Bool(tc.valid)
+			e.Bool(tc.dirty)
+			e.U64(tc.tag)
+			e.U64(tc.used)
+		}
+		d := snapshot.NewDecoder(e.Bytes())
+		c.RestoreState(d)
+		if d.Err() == nil {
+			t.Errorf("%s: restore accepted it", tc.name)
+		}
+	}
+}
+
+func TestDirtyLargestLineEvicted(t *testing.T) {
+	cfg := Config{SizeBytes: 4 << 10, LineBytes: 64, Ways: 2, HitLatency: 1}
+	c := MustNew(cfg)
+	top := ^uint64(0)
+	c.Fill(top, true)
+	stride := uint64(cfg.SizeBytes / cfg.Ways) // same set, other lines
+	c.Fill(top-stride, false)
+	victim, wb := c.Fill(top-2*stride, false)
+	if want := top &^ 63; victim != want || !wb {
+		t.Fatalf("victim = %#x writeback %t, want %#x writeback true", victim, wb, want)
+	}
+	if c.Probe(top) || !c.Probe(top-stride) || !c.Probe(top-2*stride) {
+		t.Fatal("wrong resident set after eviction")
 	}
 }

@@ -102,6 +102,13 @@ var AblationBenchmarks = []string{"kmp", "terasort", "rnc"}
 // configuration is the stock chip share one baseline run per benchmark —
 // and executed on the run pool; results are identical at any pool size.
 func Ablations(scale Scale, seed uint64, benchmarks ...string) ([]AblationResult, error) {
+	res, _, err := ablationGrid(scale, seed, benchmarks)
+	return res, err
+}
+
+// ablationGrid is Ablations, also reporting how many distinct chip runs the
+// deduplicated grid executed.
+func ablationGrid(scale Scale, seed uint64, benchmarks []string) ([]AblationResult, int, error) {
 	if len(benchmarks) == 0 {
 		benchmarks = AblationBenchmarks
 	}
@@ -166,7 +173,7 @@ func Ablations(scale Scale, seed uint64, benchmarks ...string) ([]AblationResult
 		return c.Now(), nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, len(runs), err
 	}
 	var out []AblationResult
 	for ai, ab := range ablations {
@@ -177,7 +184,7 @@ func Ablations(scale Scale, seed uint64, benchmarks ...string) ([]AblationResult
 		}
 		out = append(out, res)
 	}
-	return out, nil
+	return out, len(runs), nil
 }
 
 // AblationTable renders the study.

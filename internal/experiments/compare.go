@@ -7,6 +7,7 @@ import (
 	"smarco/internal/conv"
 	"smarco/internal/kernels"
 	"smarco/internal/power"
+	"smarco/internal/runner"
 	"smarco/internal/stats"
 )
 
@@ -57,56 +58,95 @@ func fig22Scale(scale Scale, name string) int {
 	}
 }
 
-// fig22Run executes one benchmark on both machines and derives the
-// performance and energy comparison.
-func fig22Run(cfg chip.Config, node power.Node, scale Scale, name string, seed uint64,
-	xeonThreads int) (Fig22Result, error) {
-	mk := func() *kernels.Workload {
-		return kernels.MustNew(name, kernels.Config{
-			Seed:     seed,
-			Tasks:    cfg.Threads(), // one task per SmarCo hardware thread
-			Scale:    fig22Scale(scale, name),
-			StageSPM: true,
-		})
-	}
-	w := mk()
-	c, err := runOnChip(cfg, w, 8*cycleBudget(scale))
-	if err != nil {
-		return Fig22Result{}, err
-	}
-	m := c.Metrics()
-	smSeconds := c.Seconds(c.Now())
-	act := power.ActivityFromMetrics(m, cfg)
-	smWatts := power.AvgPower(power.ChipBreakdown(cfg, node), act)
+// fig22Side is one machine's half of a Fig. 22 comparison.
+type fig22Side struct {
+	seconds, watts float64
+	cycles         uint64 // simulated chip cycles; zero on the Xeon side
+}
 
-	// The same workload on the conventional machine, fully threaded. The
-	// paper's Phoenix++ runs reuse a warm thread pool, so thread-spawn
-	// cost is excluded here (it is the subject of Fig. 23 instead).
-	wx := mk()
-	for i := range wx.Tasks {
-		wx.Tasks[i].Stage = nil // staging is a SmarCo concept
+// fig22Workload builds one benchmark's Fig. 22 input: one task per SmarCo
+// hardware thread, datasets staged into SPM.
+func fig22Workload(cfg chip.Config, scale Scale, name string, seed uint64) *kernels.Workload {
+	return kernels.MustNew(name, kernels.Config{
+		Seed:     seed,
+		Tasks:    cfg.Threads(),
+		Scale:    fig22Scale(scale, name),
+		StageSPM: true,
+	})
+}
+
+// fig22Chip runs one benchmark's Fig. 22 input on the chip.
+func fig22Chip(cfg chip.Config, node power.Node, scale Scale, name string, seed uint64) (fig22Side, error) {
+	c, err := runOnChip(cfg, fig22Workload(cfg, scale, name, seed), 8*cycleBudget(scale))
+	if err != nil {
+		return fig22Side{}, err
+	}
+	act := power.ActivityFromMetrics(c.Metrics(), cfg)
+	return fig22Side{
+		seconds: c.Seconds(c.Now()),
+		watts:   power.AvgPower(power.ChipBreakdown(cfg, node), act),
+		cycles:  c.Now(),
+	}, nil
+}
+
+// fig22Xeon runs the same input on the conventional machine, fully
+// threaded. The paper's Phoenix++ runs reuse a warm thread pool, so
+// thread-spawn cost is excluded here (it is the subject of Fig. 23
+// instead).
+func fig22Xeon(cfg chip.Config, scale Scale, name string, seed uint64, threads int) (fig22Side, error) {
+	w := fig22Workload(cfg, scale, name, seed)
+	for i := range w.Tasks {
+		w.Tasks[i].Stage = nil // staging is a SmarCo concept
 	}
 	xe := conv.XeonE78890V4()
 	xe.ThreadSpawnCycles = 0
-	xr := conv.Run(xe, wx, xeonThreads)
-	if err := wx.Check(); err != nil {
-		return Fig22Result{}, fmt.Errorf("xeon %s output: %w", name, err)
+	r, err := runOnXeon(xe, w, threads)
+	if err != nil {
+		return fig22Side{}, err
 	}
-	xWatts := power.XeonPower(1 - xr.IdleRatio)
+	return fig22Side{seconds: r.Seconds, watts: power.XeonPower(1 - r.IdleRatio)}, nil
+}
 
-	res := Fig22Result{
-		Benchmark:        name,
-		SmarCoSeconds:    smSeconds,
-		XeonSeconds:      xr.Seconds,
-		Speedup:          xr.Seconds / smSeconds,
-		SmarCoEnergy:     power.Energy(smWatts, smSeconds),
-		XeonEnergy:       power.Energy(xWatts, xr.Seconds),
-		SmarCoAvgWatts:   smWatts,
-		XeonAvgWatts:     xWatts,
-		SmarCoChipCycles: c.Now(),
+// fig22Run executes every benchmark on both machines and derives the
+// performance and energy comparison. Each benchmark's chip run and Xeon run
+// are separate jobs on the run pool; fig names the figure in errors.
+func fig22Run(fig string, cfg chip.Config, node power.Node, scale Scale, seed uint64,
+	xeonThreads int) ([]Fig22Result, error) {
+	sides, err := runner.Map(pool, 2*len(Benchmarks), func(i int) (fig22Side, error) {
+		name := Benchmarks[i/2]
+		var side fig22Side
+		var err error
+		if i%2 == 0 {
+			side, err = fig22Chip(cfg, node, scale, name, seed)
+		} else {
+			side, err = fig22Xeon(cfg, scale, name, seed, xeonThreads)
+		}
+		if err != nil {
+			return fig22Side{}, fmt.Errorf("%s %s: %w", fig, name, err)
+		}
+		return side, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	res.EnergyEffGain = res.XeonEnergy / res.SmarCoEnergy
-	return res, nil
+	out := make([]Fig22Result, len(Benchmarks))
+	for bi, name := range Benchmarks {
+		sm, xe := sides[2*bi], sides[2*bi+1]
+		res := Fig22Result{
+			Benchmark:        name,
+			SmarCoSeconds:    sm.seconds,
+			XeonSeconds:      xe.seconds,
+			Speedup:          xe.seconds / sm.seconds,
+			SmarCoEnergy:     power.Energy(sm.watts, sm.seconds),
+			XeonEnergy:       power.Energy(xe.watts, xe.seconds),
+			SmarCoAvgWatts:   sm.watts,
+			XeonAvgWatts:     xe.watts,
+			SmarCoChipCycles: sm.cycles,
+		}
+		res.EnergyEffGain = res.XeonEnergy / res.SmarCoEnergy
+		out[bi] = res
+	}
+	return out, nil
 }
 
 // Fig22VsXeon reproduces Fig. 22: performance and energy-efficiency of the
@@ -114,16 +154,7 @@ func fig22Run(cfg chip.Config, node power.Node, scale Scale, name string, seed u
 // benchmarks. The paper reports 4.86–18.57× speedup (avg 10.11×) and
 // 3.34–12.77× energy efficiency (avg 6.95×).
 func Fig22VsXeon(scale Scale, seed uint64) ([]Fig22Result, error) {
-	cfg := chipConfig(scale)
-	var out []Fig22Result
-	for _, name := range Benchmarks {
-		r, err := fig22Run(cfg, power.Node32, scale, name, seed, 48)
-		if err != nil {
-			return nil, fmt.Errorf("fig22 %s: %w", name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return fig22Run("fig22", chipConfig(scale), power.Node32, scale, seed, 48)
 }
 
 // Fig23Point is one thread-count measurement of the scalability study.
@@ -148,25 +179,31 @@ func Fig23Scalability(scale Scale, seed uint64) ([]Fig23Point, error) {
 		counts = append(counts, 1024, 2048)
 		totalWork = 1 << 20
 	}
-	var out []Fig23Point
-	for _, n := range counts {
-		shard := totalWork / n
-		if shard < 64 {
-			shard = 64
+	// Each thread count's chip run and Xeon run are separate jobs on the
+	// run pool: even jobs on the chip, odd ones on the Xeon.
+	perf, err := runner.Map(pool, 2*len(counts), func(i int) (float64, error) {
+		n := counts[i/2]
+		w := kernels.MustNew("kmp", kernels.Config{Seed: seed, Tasks: n, Scale: max(totalWork/n, 64)})
+		if i%2 == 0 {
+			// SmarCo side: n concurrent shard tasks on the chip.
+			c, err := runOnChip(cfg, w, 4*cycleBudget(scale))
+			if err != nil {
+				return 0, fmt.Errorf("fig23 smarco n=%d: %w", n, err)
+			}
+			return 1 / c.Seconds(c.Now()), nil
 		}
-		// SmarCo side: n concurrent shard tasks on the chip.
-		w := kernels.MustNew("kmp", kernels.Config{Seed: seed, Tasks: n, Scale: shard})
-		c, err := runOnChip(cfg, w, 4*cycleBudget(scale))
+		r, err := runOnXeon(conv.XeonE78890V4(), w, n)
 		if err != nil {
-			return nil, fmt.Errorf("fig23 smarco n=%d: %w", n, err)
+			return 0, fmt.Errorf("fig23 xeon n=%d: %w", n, err)
 		}
-		smPerf := 1 / c.Seconds(c.Now())
-
-		wx := kernels.MustNew("kmp", kernels.Config{Seed: seed, Tasks: n, Scale: shard})
-		xr := conv.Run(conv.XeonE78890V4(), wx, n)
-		xPerf := 1 / xr.Seconds
-
-		out = append(out, Fig23Point{Threads: n, SmarCoPerf: smPerf, XeonPerf: xPerf})
+		return 1 / r.Seconds, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	out := make([]Fig23Point, len(counts))
+	for ci, n := range counts {
+		out[ci] = Fig23Point{Threads: n, SmarCoPerf: perf[2*ci], XeonPerf: perf[2*ci+1]}
 	}
 	return out, nil
 }
@@ -185,17 +222,8 @@ func Fig26Prototype(scale Scale, seed uint64) ([]Fig22Result, error) {
 		cfg.SubRings = 1
 		cfg.CoresPerSub = 8
 		cfg.MCs = 1
-		cfg.Parallel = false
 	}
-	var out []Fig22Result
-	for _, name := range Benchmarks {
-		r, err := fig22Run(cfg, power.Node40, scale, name, seed, 48)
-		if err != nil {
-			return nil, fmt.Errorf("fig26 %s: %w", name, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
+	return fig22Run("fig26", cfg, power.Node40, scale, seed, 48)
 }
 
 // Table1AreaPower regenerates Table 1 (exact by calibration).

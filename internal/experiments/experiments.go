@@ -12,6 +12,7 @@ import (
 	"fmt"
 
 	"smarco/internal/chip"
+	"smarco/internal/conv"
 	"smarco/internal/kernels"
 )
 
@@ -114,6 +115,17 @@ func runOnChip(cfg chip.Config, w *kernels.Workload, budget uint64) (*chip.Chip,
 		return nil, fmt.Errorf("%s output: %w", w.Name, err)
 	}
 	return c, nil
+}
+
+// runOnXeon executes a workload on the conventional baseline model with
+// threads software threads and verifies its output, as runOnChip does for
+// the chip.
+func runOnXeon(cfg conv.Config, w *kernels.Workload, threads int) (conv.Result, error) {
+	r := conv.Run(cfg, w, threads)
+	if err := w.Check(); err != nil {
+		return conv.Result{}, fmt.Errorf("%s output on xeon: %w", w.Name, err)
+	}
+	return r, nil
 }
 
 // cycleBudget is generous enough for every scaled experiment.

@@ -7,7 +7,10 @@ import (
 )
 
 func TestFig01IdleGrowsWithThreads(t *testing.T) {
-	results := Fig01ThreadScaling(ScaleSmall, 1)
+	results, err := Fig01ThreadScaling(ScaleSmall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(results) == 0 {
 		t.Fatal("no results")
 	}
@@ -25,7 +28,10 @@ func TestFig01IdleGrowsWithThreads(t *testing.T) {
 }
 
 func TestFig01CacheLatencyOrdering(t *testing.T) {
-	rows := Fig01CacheHierarchy(ScaleSmall, 1)
+	rows, err := Fig01CacheHierarchy(ScaleSmall, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, r := range rows {
 		if r.L1Miss <= 0 {
 			t.Fatalf("%s: no L1 misses", r.Benchmark)
@@ -272,13 +278,14 @@ func TestAblationsShowFeatureValue(t *testing.T) {
 	const deadline = 5 * time.Minute
 	type outcome struct {
 		results []AblationResult
+		runs    int
 		err     error
 	}
 	ch := make(chan outcome, 1)
 	start := time.Now()
 	go func() {
-		r, err := Ablations(ScaleSmall, 1)
-		ch <- outcome{r, err}
+		r, runs, err := ablationGrid(ScaleSmall, 1, nil)
+		ch <- outcome{r, runs, err}
 	}()
 	var results []AblationResult
 	select {
@@ -287,6 +294,12 @@ func TestAblationsShowFeatureValue(t *testing.T) {
 			t.Fatal(o.err)
 		}
 		results = o.results
+		// Per benchmark: eight "without" configurations, the prefetcher's
+		// "with" configuration, and the stock chip streamed and staged,
+		// which every other feature shares as its "with" run.
+		if want := 11 * len(AblationBenchmarks); o.runs != want {
+			t.Fatalf("deduplicated grid ran %d simulations, want %d", o.runs, want)
+		}
 	case <-time.After(deadline):
 		t.Fatalf("ablation sweep blew its %v internal deadline (elapsed %v): "+
 			"the cycle engine has likely regressed — each feature costs two chip runs; "+

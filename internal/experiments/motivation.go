@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"fmt"
 	"sort"
 
 	"smarco/internal/conv"
 	"smarco/internal/htc"
 	"smarco/internal/kernels"
+	"smarco/internal/runner"
 	"smarco/internal/stats"
 )
 
@@ -23,30 +25,36 @@ type Fig01Result struct {
 	Points    []Fig01Point
 }
 
+// fig01Benchmarks are the benchmarks of the conventional-processor study.
+var fig01Benchmarks = []string{"kmp", "wordcount", "search"}
+
 // Fig01ThreadScaling reproduces Fig. 1a/1b: idle ratio and instruction
 // starvation of the conventional processor as the thread count grows.
-func Fig01ThreadScaling(scale Scale, seed uint64) []Fig01Result {
+func Fig01ThreadScaling(scale Scale, seed uint64) ([]Fig01Result, error) {
 	threadCounts := []int{1, 2, 4, 8, 16, 32, 64, 128}
 	tasks, work := 128, 1024
 	if scale == ScalePaper {
 		tasks, work = 256, 4096
 	}
-	benchmarks := []string{"kmp", "wordcount", "search"}
-	var out []Fig01Result
-	for _, name := range benchmarks {
-		res := Fig01Result{Benchmark: name}
-		for _, n := range threadCounts {
-			w := kernels.MustNew(name, kernels.Config{Seed: seed, Tasks: tasks, Scale: work})
-			r := conv.Run(conv.XeonE78890V4(), w, n)
-			res.Points = append(res.Points, Fig01Point{
-				Threads:     n,
-				IdleRatio:   r.IdleRatio,
-				StarveRatio: r.StarveRatio,
-			})
+	// Benchmark × thread-count grid on the run pool.
+	nT := len(threadCounts)
+	points, err := runner.Map(pool, len(fig01Benchmarks)*nT, func(i int) (Fig01Point, error) {
+		name, n := fig01Benchmarks[i/nT], threadCounts[i%nT]
+		w := kernels.MustNew(name, kernels.Config{Seed: seed, Tasks: tasks, Scale: work})
+		r, err := runOnXeon(conv.XeonE78890V4(), w, n)
+		if err != nil {
+			return Fig01Point{}, fmt.Errorf("fig1ab %s threads=%d: %w", name, n, err)
 		}
-		out = append(out, res)
+		return Fig01Point{Threads: n, IdleRatio: r.IdleRatio, StarveRatio: r.StarveRatio}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out
+	out := make([]Fig01Result, len(fig01Benchmarks))
+	for bi, name := range fig01Benchmarks {
+		out[bi] = Fig01Result{Benchmark: name, Points: points[bi*nT : (bi+1)*nT : (bi+1)*nT]}
+	}
+	return out, nil
 }
 
 // Fig01Cache is the Fig. 1c/1d data: per-level miss ratios and average
@@ -58,22 +66,24 @@ type Fig01Cache struct {
 }
 
 // Fig01CacheHierarchy reproduces Fig. 1c/1d at high concurrency.
-func Fig01CacheHierarchy(scale Scale, seed uint64) []Fig01Cache {
+func Fig01CacheHierarchy(scale Scale, seed uint64) ([]Fig01Cache, error) {
 	tasks, work := 128, 2048
 	if scale == ScalePaper {
 		tasks, work = 256, 8192
 	}
-	var out []Fig01Cache
-	for _, name := range []string{"kmp", "wordcount", "search"} {
+	return runner.Map(pool, len(fig01Benchmarks), func(i int) (Fig01Cache, error) {
+		name := fig01Benchmarks[i]
 		w := kernels.MustNew(name, kernels.Config{Seed: seed, Tasks: tasks, Scale: work})
-		r := conv.Run(conv.XeonE78890V4(), w, 64)
-		out = append(out, Fig01Cache{
+		r, err := runOnXeon(conv.XeonE78890V4(), w, 64)
+		if err != nil {
+			return Fig01Cache{}, fmt.Errorf("fig1cd %s: %w", name, err)
+		}
+		return Fig01Cache{
 			Benchmark: name,
 			L1Miss:    r.L1Miss, L2Miss: r.L2Miss, LLCMiss: r.LLCMiss,
 			L1AvgLat: r.L1AvgLat, L2AvgLat: r.L2AvgLat, LLCLat: r.LLCLat,
-		})
-	}
-	return out
+		}, nil
+	})
 }
 
 // Fig02CDN reproduces the CDN characterization.

@@ -6,6 +6,7 @@ import (
 	"smarco/internal/chip"
 	"smarco/internal/kernels"
 	"smarco/internal/noc"
+	"smarco/internal/runner"
 	"smarco/internal/stats"
 )
 
@@ -25,7 +26,8 @@ type NearMemResult struct {
 }
 
 // NearMemoryMatch measures both paths on identical inputs and verifies the
-// near-memory counts against the KMP reference.
+// near-memory counts against the KMP reference. The two paths are separate
+// jobs on the run pool.
 func NearMemoryMatch(scale Scale, seed uint64) (NearMemResult, error) {
 	cfg := chipConfig(scale)
 	shards := 2 * cfg.Cores()
@@ -33,24 +35,48 @@ func NearMemoryMatch(scale Scale, seed uint64) (NearMemResult, error) {
 	if scale == ScalePaper {
 		shardBytes = 8192
 	}
-	res := NearMemResult{Shards: shards, ShardBytes: shardBytes}
-
-	// Path 1: the KMP kernel on the cores (streaming, as usual).
-	w := kernels.MustNew("kmp", kernels.Config{Seed: seed, Tasks: shards, Scale: shardBytes})
-	c, err := runOnChip(cfg, w, 8*cycleBudget(scale))
+	type path struct{ cycles, busBytes uint64 }
+	paths, err := runner.Map(pool, 2, func(i int) (path, error) {
+		w := kernels.MustNew("kmp", kernels.Config{Seed: seed, Tasks: shards, Scale: shardBytes})
+		if i == 0 {
+			// Path 1: the KMP kernel on the cores (streaming, as usual).
+			c, err := runOnChip(cfg, w, 8*cycleBudget(scale))
+			if err != nil {
+				return path{}, fmt.Errorf("nearmem core path: %w", err)
+			}
+			return path{c.Now(), c.Metrics().MemBusBytes}, nil
+		}
+		c, err := nearMemOffload(cfg, w, 8*cycleBudget(scale))
+		if err != nil {
+			return path{}, err
+		}
+		return path{c.Now(), c.Metrics().MemBusBytes}, nil
+	})
 	if err != nil {
-		return res, fmt.Errorf("nearmem core path: %w", err)
+		return NearMemResult{}, err
 	}
-	res.CoreCycles = c.Now()
-	res.CoreBusBytes = c.Metrics().MemBusBytes
+	core, near := paths[0], paths[1]
+	return NearMemResult{
+		Shards:       shards,
+		ShardBytes:   shardBytes,
+		CoreCycles:   core.cycles,
+		NearCycles:   near.cycles,
+		Speedup:      float64(core.cycles) / float64(near.cycles),
+		CoreBusBytes: core.busBytes,
+		NearBusBytes: near.busBytes,
+	}, nil
+}
 
-	// Path 2: the host offloads one match command per shard to the
-	// controllers owning the text; only counts cross the chip.
-	w2 := kernels.MustNew("kmp", kernels.Config{Seed: seed, Tasks: shards, Scale: shardBytes})
-	c2 := chip.New(cfg, w2.Mem)
+// nearMemOffload is the offload path: the host sends one match command per
+// shard of w to the controller owning its text, and only counts cross the
+// chip. It runs on the serial executor, as runOnChip does, and checks every
+// count against the KMP reference.
+func nearMemOffload(cfg chip.Config, w *kernels.Workload, budget uint64) (*chip.Chip, error) {
+	cfg.Executor = "serial"
+	c := chip.New(cfg, w.Mem)
 	pattern := [8]byte{'a', 'b', 'a', 'b'}
 	want := map[uint64]uint64{}
-	for i, task := range w2.Tasks {
+	for i, task := range w.Tasks {
 		textAddr := uint64(task.Args[0])
 		textLen := uint64(task.Args[1])
 		id := uint64(i + 1)
@@ -59,29 +85,26 @@ func NearMemoryMatch(scale Scale, seed uint64) (NearMemResult, error) {
 		// shards are page-aligned enough in practice that we send to the
 		// owner of the first byte and let its unit scan the region (the
 		// unit reads through the shared backing store).
-		c2.HostSend(noc.NewMatchReqPacket(id, noc.HostNode(), mcOf(c2, textAddr), req, 0))
-		text := w2.Mem.ReadBytes(textAddr, int(textLen))
+		c.HostSend(noc.NewMatchReqPacket(id, noc.HostNode(), mcOf(c, textAddr), req, 0))
+		text := w.Mem.ReadBytes(textAddr, int(textLen))
 		want[id] = refCount(text, pattern[:4])
 	}
 	got := map[uint64]uint64{}
-	if _, err := c2.RunUntil(8*cycleBudget(scale), func() bool {
-		for _, p := range c2.HostReceive() {
+	if _, err := c.RunUntil(budget, func() bool {
+		for _, p := range c.HostReceive() {
 			resp := p.Payload.(noc.MatchResp)
 			got[resp.ID] = resp.Count
 		}
-		return len(got) == shards
+		return len(got) == len(w.Tasks)
 	}); err != nil {
-		return res, fmt.Errorf("nearmem offload path: %w", err)
+		return nil, fmt.Errorf("nearmem offload path: %w", err)
 	}
-	for id, w := range want {
-		if got[id] != w {
-			return res, fmt.Errorf("nearmem: shard %d count %d, want %d", id, got[id], w)
+	for id, n := range want {
+		if got[id] != n {
+			return nil, fmt.Errorf("nearmem: shard %d count %d, want %d", id, got[id], n)
 		}
 	}
-	res.NearCycles = c2.Now()
-	res.NearBusBytes = c2.Metrics().MemBusBytes
-	res.Speedup = float64(res.CoreCycles) / float64(res.NearCycles)
-	return res, nil
+	return c, nil
 }
 
 func mcOf(c *chip.Chip, addr uint64) noc.NodeID {

@@ -26,7 +26,6 @@ func fig18Config(scale Scale) chip.Config {
 	if scale != ScalePaper {
 		cfg.SubRings = 2
 		cfg.MCs = 2
-		cfg.Parallel = false
 	}
 	cfg.MACT.Enabled = false
 	cfg.DRAM.Banks = 32

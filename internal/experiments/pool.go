@@ -2,10 +2,10 @@ package experiments
 
 import "smarco/internal/runner"
 
-// pool runs the harnesses' independent simulations side by side, one whole
-// simulation per worker (each on the serial executor — see runOnChip). All
-// sweeps place results by grid position, so the output is identical for
-// any worker count.
+// pool runs every harness's independent simulations side by side, one
+// whole chip or Xeon-model run per worker (chip runs on the serial
+// executor — see runOnChip). Every harness places results by grid
+// position, so the output is identical for any worker count.
 var pool = runner.New(0)
 
 // SetPoolWorkers bounds the harnesses' run-level concurrency (n <= 0

@@ -7,7 +7,7 @@ import "time"
 // size; only wall time moves.
 type SuiteRun struct {
 	Workers     int     `json:"workers"`
-	Sims        int     `json:"sims"` // simulations in the grid
+	Sims        int     `json:"sims"` // distinct simulations the grid ran
 	WallSeconds float64 `json:"wall_seconds"`
 }
 
@@ -18,13 +18,9 @@ func MeasureSuite(scale Scale, seed uint64, workers int) (SuiteRun, error) {
 	SetPoolWorkers(workers)
 	defer SetPoolWorkers(old)
 	start := time.Now()
-	res, err := Ablations(scale, seed)
+	_, sims, err := ablationGrid(scale, seed, nil)
 	if err != nil {
 		return SuiteRun{}, err
-	}
-	sims := 0
-	for _, r := range res {
-		sims += 2 * len(r.Gain) // with/without per benchmark (upper bound: dedup shares baselines)
 	}
 	return SuiteRun{
 		Workers:     PoolWorkers(),

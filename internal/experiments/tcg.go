@@ -5,6 +5,7 @@ import (
 
 	"smarco/internal/chip"
 	"smarco/internal/kernels"
+	"smarco/internal/runner"
 	"smarco/internal/stats"
 )
 
@@ -23,7 +24,6 @@ func Fig17TCGIPC(scale Scale, seed uint64) ([]Fig17Result, error) {
 	cfg.SubRings = 1
 	cfg.CoresPerSub = 1
 	cfg.MCs = 1
-	cfg.Parallel = false
 
 	work := map[string]int{
 		"wordcount": 384, "kmp": 384, "terasort": 24,
@@ -36,24 +36,28 @@ func Fig17TCGIPC(scale Scale, seed uint64) ([]Fig17Result, error) {
 		}
 	}
 
+	// Benchmark × thread-count grid on the run pool; identical results at
+	// any pool size.
+	const maxThreads = 8
+	ipc, err := runner.Map(pool, len(Benchmarks)*maxThreads, func(i int) (float64, error) {
+		name, threads := Benchmarks[i/maxThreads], i%maxThreads+1
+		// threads resident tasks; each long enough that the core stays
+		// saturated while they coexist.
+		w := kernels.MustNew(name, kernels.Config{Seed: seed, Tasks: threads, Scale: work[name]})
+		c, err := runOnChip(cfg, w, cycleBudget(scale))
+		if err != nil {
+			return 0, fmt.Errorf("fig17 %s threads=%d: %w", name, threads, err)
+		}
+		return c.Cores[0].Stats.IPC(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
 	var out []Fig17Result
-	for _, name := range Benchmarks {
+	for bi, name := range Benchmarks {
 		res := Fig17Result{Benchmark: name, IPC: map[int]float64{}}
-		for threads := 1; threads <= 8; threads++ {
-			// threads resident tasks; each long enough that the core
-			// stays saturated while they coexist.
-			w := kernels.MustNew(name, kernels.Config{
-				Seed: seed, Tasks: threads, Scale: work[name],
-			})
-			c := chip.New(cfg, w.Mem)
-			c.Submit(w.Tasks)
-			if _, err := c.Run(cycleBudget(scale)); err != nil {
-				return nil, fmt.Errorf("fig17 %s threads=%d: %w", name, threads, err)
-			}
-			if err := w.Check(); err != nil {
-				return nil, fmt.Errorf("fig17 %s: %w", name, err)
-			}
-			res.IPC[threads] = c.Cores[0].Stats.IPC()
+		for threads := 1; threads <= maxThreads; threads++ {
+			res.IPC[threads] = ipc[bi*maxThreads+threads-1]
 		}
 		out = append(out, res)
 	}

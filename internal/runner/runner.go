@@ -1,10 +1,10 @@
 // Package runner provides a bounded-concurrency work pool for running
-// independent simulations side by side. The experiment harnesses, the
-// conformance matrix, and smarcobench's suite mode all execute dozens of
-// chip runs that share nothing; the per-simulation winner on most hosts is
-// the serial executor, so the scalable axis is run-level parallelism — one
-// whole simulation per CPU — rather than partition-level parallelism
-// inside each one.
+// independent simulations side by side. Every figure harness, the
+// conformance matrix, and smarcobench's suite mode execute dozens of chip
+// or Xeon-model runs that share nothing; the per-simulation winner on most
+// hosts is the serial executor, so the scalable axis is run-level
+// parallelism — one whole simulation per CPU — rather than
+// partition-level parallelism inside each one.
 //
 // Results are deterministic by construction: Map places every result at
 // its input's index, so the output order is the input order no matter how

@@ -40,6 +40,11 @@ go build ./...
 go test -race -timeout 30m ./internal/sim/... ./internal/fault/... \
     ./internal/chip/... ./internal/runner/... ./internal/sampling/... \
     ./internal/card/... ./internal/chaos/...
+# Every figure harness runs its chip and Xeon-model simulations side by side
+# on the run pool, which shares the heap (and the result slice) across
+# workers; the short pool-width invariance cells, Fig. 17 and Fig. 22, cover
+# chip runs, Xeon-model runs and a pool mixing the two.
+go test -race -short -run TestPoolSizeInvariance ./internal/experiments
 go test ./internal/noc/... ./internal/dram/... ./internal/cpu/... \
     ./internal/sched/... ./internal/cache/...
 
