@@ -10,6 +10,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"smarco/internal/cache"
 	"smarco/internal/fault"
@@ -48,9 +49,9 @@ type Config struct {
 	// Prefetch enables the sequential next-line prefetcher (§7 future
 	// work: "data penetration and prefetch from memory to SPM").
 	Prefetch bool
-	// IFetchMissLatency is unused when fetches go through the NoC; kept
-	// for reduced standalone models.
-	MemCores int // total cores on the chip, for SPM address decoding
+	// MemCores is the total number of cores on the chip, for SPM address
+	// decoding.
+	MemCores int
 }
 
 // DefaultConfig is the paper's TCG configuration.
@@ -72,6 +73,7 @@ func DefaultConfig() Config {
 type ThreadState uint8
 
 // Thread states. Running is implicit: the lane's current Ready thread.
+// Every change of a thread's state goes through Core.setState.
 const (
 	TIdle      ThreadState = iota // no task assigned
 	TStaging                      // dataset DMA into SPM in progress
@@ -81,7 +83,11 @@ const (
 	TWaitStore                    // blocked on store credit / fence
 	TDraining                     // halted; staged outputs writing back
 	THalted                       // task finished, awaiting reap
+	numThreadStates
 )
+
+// maxSlots bounds a core's thread slots: the ready mask is one word.
+const maxSlots = 64
 
 // StageRegion marks one argument's memory region for SPM staging: it is
 // DMA-copied into the scratchpad before the task starts and, when Out is
@@ -126,12 +132,14 @@ type storeEntry struct {
 }
 
 type thread struct {
-	slot     int
-	state    ThreadState
-	regs     isa.Regs
-	pc       int
-	work     Work
-	busy     int // remaining exec-latency stall cycles
+	slot  int
+	state ThreadState
+	regs  isa.Regs
+	pc    int
+	work  Work
+	// iseg is the shared instruction segment of work.CodeBase (nil unless
+	// SharedISeg), so a fetch needs no map lookup.
+	iseg     *isegState
 	waitID   uint64
 	loadInst isa.Inst // in-flight load for writeback
 	stores   []storeEntry
@@ -147,9 +155,17 @@ type thread struct {
 	undo []undoEntry
 }
 
+// lane is one issue lane: threads base to base+ThreadsPerLane-1, of which
+// current runs.
 type lane struct {
-	threads []*thread
+	base    int
 	current int
+	// stall is the exec-latency stall of the lane's current thread, in
+	// cycles still to wait. Only a Ready thread stalls, and a lane switches
+	// threads only when its current one is not Ready, so the stall belongs
+	// to the lane: a checkpoint encodes it as the current thread's busy
+	// count.
+	stall int
 }
 
 // isegState tracks shared-instruction-segment prefetch per code base.
@@ -176,7 +192,7 @@ type Stats struct {
 	LaneIdle       stats.Counter // lane-cycles with no ready thread
 	LaneBusy       stats.Counter // lane-cycles stalled on exec latency
 	StoreFwd       stats.Counter // loads forwarded from the store buffer
-	StoreStall     stats.Counter // cycles threads waited on store drain
+	StoreStall     stats.Counter // loads/stores blocked by the store buffer (events, not cycles)
 	PrefetchIssued stats.Counter
 	PrefetchHits   stats.Counter
 	// LoadLat and TaskLat are bounded streaming histograms: a week-long
@@ -209,6 +225,12 @@ type Core struct {
 	lanes    []lane
 	threads  []*thread
 	freeSlot []int
+	// ready has bit s set exactly when slot s is TReady, and halted counts
+	// THalted threads; setState keeps both. Lane l's Ready threads are
+	// the laneBits bits of ready from bit l*laneBits on.
+	ready    uint64
+	laneBits uint
+	halted   int
 
 	reqSeq       uint64
 	sendSeq      uint64
@@ -248,6 +270,10 @@ func New(id int, cfg Config, store *mem.Sparse, inject, eject *sim.Port[*noc.Pac
 		return nil, fmt.Errorf("cpu: core %d has invalid lane configuration %dx%d",
 			id, cfg.Lanes, cfg.ThreadsPerLane)
 	}
+	if cfg.ThreadsPerLane > maxSlots/cfg.Lanes {
+		return nil, fmt.Errorf("cpu: core %d has %dx%d thread slots, more than %d",
+			id, cfg.Lanes, cfg.ThreadsPerLane, maxSlots)
+	}
 	icache, err := cache.New(cfg.ICache)
 	if err != nil {
 		return nil, fmt.Errorf("cpu: core %d: %w", id, err)
@@ -280,11 +306,11 @@ func New(id int, cfg Config, store *mem.Sparse, inject, eject *sim.Port[*noc.Pac
 		}
 	}
 	c.lanes = make([]lane, cfg.Lanes)
+	c.laneBits = uint(cfg.ThreadsPerLane)
 	for l := range c.lanes {
+		c.lanes[l].base = l * cfg.ThreadsPerLane
 		for t := 0; t < cfg.ThreadsPerLane; t++ {
-			th := &thread{slot: l*cfg.ThreadsPerLane + t, state: TIdle}
-			c.threads = append(c.threads, th)
-			c.lanes[l].threads = append(c.lanes[l].threads, th)
+			c.threads = append(c.threads, &thread{slot: l*cfg.ThreadsPerLane + t, state: TIdle})
 		}
 	}
 	// Hand out slots lane-major: tasks spread across lanes before pairing
@@ -356,14 +382,14 @@ func (c *Core) Quiescent(now uint64) (bool, uint64) {
 	if c.dead {
 		return true, sim.WakeNever
 	}
-	for _, th := range c.threads {
-		switch th.state {
-		case TReady:
-			return false, 0
-		case THalted:
+	if c.ready != 0 {
+		return false, 0
+	}
+	if c.halted > 0 {
+		for _, th := range c.threads {
 			// Reaped this very tick unless posted writes are pending —
 			// and those retire on eject deliveries.
-			if len(th.stores) == 0 {
+			if th.state == THalted && len(th.stores) == 0 {
 				return false, 0
 			}
 		}
@@ -406,10 +432,59 @@ func (c *Core) Tick(now uint64) {
 	c.acceptWork(now)
 	c.handlePackets(now)
 	c.dma.tick(now)
-	for l := range c.lanes {
-		c.tickLane(now, &c.lanes[l])
+	// Only a lane with a Ready thread is visited: one without idles, and
+	// cannot be stalled, since only its current Ready thread stalls. A
+	// visited lane counts its stall down or issues.
+	busy, idle := uint64(0), uint64(len(c.lanes))
+	ready, mask := c.ready, uint64(1)<<c.laneBits-1
+	for i := 0; ready != 0; i++ {
+		bits := ready & mask
+		ready >>= c.laneBits
+		if bits == 0 {
+			continue
+		}
+		idle--
+		l := &c.lanes[i]
+		if l.stall > 0 {
+			l.stall--
+			busy++
+			continue
+		}
+		c.tickLane(now, l, bits)
 	}
-	c.reapHalted(now)
+	c.Stats.LaneBusy.Add(busy)
+	c.Stats.LaneIdle.Add(idle)
+	if c.halted > 0 {
+		c.reapHalted(now)
+	}
+}
+
+// setState moves th to state s. Every thread-state change goes through it,
+// so the ready mask and the halted count always match the threads: a
+// slot's ready bit is set exactly when it is TReady.
+func (c *Core) setState(th *thread, s ThreadState) {
+	bit := uint64(1) << uint(th.slot)
+	if s == TReady {
+		c.ready |= bit
+	} else {
+		c.ready &^= bit
+	}
+	if th.state == THalted {
+		c.halted--
+	}
+	if s == THalted {
+		c.halted++
+	}
+	th.state = s
+}
+
+// nextReady returns the lane index of the first Ready thread after cur,
+// wrapping around, given the lane's nonzero ready bits.
+func nextReady(ready uint64, cur int) int {
+	if after := ready >> uint(cur+1) << uint(cur+1); after != 0 {
+		return bits.TrailingZeros64(after)
+	}
+	return bits.TrailingZeros64(ready)
 }
 
 // send stages a packet toward the sub-ring, buffering under backpressure.
@@ -433,18 +508,13 @@ func (c *Core) nextReqID() uint64 {
 
 // acceptWork installs newly assigned tasks into free thread slots.
 func (c *Core) acceptWork(now uint64) {
-	for {
-		if len(c.freeSlot) == 0 {
-			break
-		}
-		w, ok := c.workPort.Pop()
-		if !ok {
-			break
-		}
+	for len(c.freeSlot) > 0 && !c.workPort.Empty() {
+		w, _ := c.workPort.Pop()
 		slot := c.freeSlot[0]
 		c.freeSlot = c.freeSlot[1:]
 		th := c.threads[slot]
-		*th = thread{slot: slot, state: TReady, work: w, assigned: now}
+		*th = thread{slot: slot, work: w, assigned: now} // a free slot is TIdle
+		c.setState(th, TReady)
 		if c.trace != nil {
 			c.trace("task", fmt.Sprintf("start task=%d core=%d", w.TaskID, c.ID), now)
 		}
@@ -452,7 +522,7 @@ func (c *Core) acceptWork(now uint64) {
 			th.regs.Set(uint8(10+i), v)
 		}
 		c.stageIn(now, th)
-		c.prepareISeg(now, w)
+		th.iseg = c.prepareISeg(now, w)
 	}
 }
 
@@ -478,7 +548,7 @@ func (c *Core) stageIn(now uint64, th *thread) {
 	c.Stats.StagedTasks.Inc()
 	base := uint64(th.slot * c.slotSPMBytes())
 	off := base
-	th.state = TStaging
+	c.setState(th, TStaging)
 	for _, r := range th.work.Stage {
 		dramAddr := uint64(th.work.Args[r.Arg])
 		spmAddr := spm.AddrOf(c.ID, off)
@@ -509,13 +579,14 @@ func (c *Core) stageOut(now uint64, th *thread) bool {
 }
 
 // prepareISeg starts the shared-instruction-segment prefetch for a task's
-// program if it is not already resident or in flight.
-func (c *Core) prepareISeg(now uint64, w Work) {
+// program if it is not already resident or in flight, and returns the
+// segment's state (nil unless SharedISeg).
+func (c *Core) prepareISeg(now uint64, w Work) *isegState {
 	if !c.cfg.SharedISeg {
-		return
+		return nil
 	}
-	if _, ok := c.isegs[w.CodeBase]; ok {
-		return
+	if st, ok := c.isegs[w.CodeBase]; ok {
+		return st
 	}
 	st := &isegState{totalBytes: w.Prog.Len() * 4}
 	if st.totalBytes == 0 {
@@ -523,6 +594,7 @@ func (c *Core) prepareISeg(now uint64, w Work) {
 	}
 	c.isegs[w.CodeBase] = st
 	c.pumpISeg(now, w.CodeBase, st)
+	return st
 }
 
 // pumpISeg issues up to a few outstanding prefetch line reads.
@@ -555,7 +627,7 @@ func (c *Core) reapHalted(now uint64) {
 		if c.trace != nil {
 			c.trace("task", fmt.Sprintf("done task=%d core=%d", th.work.TaskID, c.ID), now)
 		}
-		th.state = TIdle
+		c.setState(th, TIdle)
 		th.undo = nil // the task is committed; its writes are permanent
 		c.freeSlot = append(c.freeSlot, th.slot)
 	}

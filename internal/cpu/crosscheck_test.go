@@ -70,7 +70,8 @@ func genProgram(rng *sim.RNG, length int) *isa.Program {
 // crossCheck runs prog on both the functional machine and the cycle-level
 // core (through the full NoC/DRAM stack) with the same initial memory image
 // and requires identical memory outcomes in both the output window (nOut
-// bytes) and the 256-byte data window.
+// bytes) and the 256-byte data window, and identical instruction and
+// memory-op counts.
 func crossCheck(t testing.TB, label string, prog *isa.Program, initial []byte, nOut, budget int) {
 	t.Helper()
 	const dataBase, outBase = 0x8000, 0x9000
@@ -92,6 +93,12 @@ func crossCheck(t testing.TB, label string, prog *isa.Program, initial []byte, n
 		Args: [8]int64{dataBase, outBase}})
 	r.runUntilDone(t, 1, budget)
 
+	// A store-buffer stall re-executes the instruction; only the attempt
+	// that executes counts.
+	if s := &r.cores[0].Stats; s.Issued.Value() != gm.Executed || s.MemOps.Value() != gm.MemOps {
+		t.Fatalf("%s: core issued %d instructions with %d memory ops; the functional machine executed %d with %d",
+			label, s.Issued.Value(), s.MemOps.Value(), gm.Executed, gm.MemOps)
+	}
 	for i := 0; i < nOut; i++ {
 		if got, want := r.store.ByteAt(outBase+uint64(i)), gold.ByteAt(outBase+uint64(i)); got != want {
 			t.Fatalf("%s: output byte %d differs: %#x vs %#x", label, i, got, want)

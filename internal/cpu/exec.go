@@ -8,62 +8,39 @@ import (
 	"smarco/internal/spm"
 )
 
-// tickLane advances one hardware lane: it picks the lane's running thread
-// (switching to the friend thread when the current one blocked — the
-// in-pair mechanism) and issues at most one instruction.
-func (c *Core) tickLane(now uint64, l *lane) {
-	th := l.threads[l.current]
-	if !runnable(th) {
+// tickLane issues at most one instruction on a lane that is not stalled and
+// has Ready threads (ready holds the lane's bits of the ready mask). It runs
+// the current thread, or switches to the friend thread when the current one
+// blocked — the in-pair mechanism — and holds the instruction's exec stall.
+func (c *Core) tickLane(now uint64, l *lane, ready uint64) {
+	if ready&(1<<uint(l.current)) == 0 {
 		// In-pair switch: the friend thread starts immediately when the
-		// running thread waits on memory (§3.1.1).
-		if next := l.pickRunnable(); next >= 0 {
-			l.current = next
-			th = l.threads[l.current]
-		} else {
-			c.Stats.LaneIdle.Inc()
-			return
-		}
+		// running thread waits on memory (§3.1.1), the thread after the
+		// current one first (fair pairing).
+		l.current = nextReady(ready, l.current)
 	}
-	if th.busy > 0 {
-		th.busy--
-		c.Stats.LaneBusy.Inc()
-		return
-	}
-	c.issue(now, th)
+	l.stall = c.issue(now, c.threads[l.base+l.current])
 }
 
-func runnable(th *thread) bool { return th.state == TReady }
-
-// pickRunnable returns the index of a Ready thread on the lane, preferring
-// the thread after the current one (fair pairing), or -1.
-func (l *lane) pickRunnable() int {
-	n := len(l.threads)
-	for i := 1; i <= n; i++ {
-		idx := (l.current + i) % n
-		if runnable(l.threads[idx]) {
-			return idx
-		}
-	}
-	return -1
-}
-
-// issue executes one instruction for th, charging timing to the lane.
-func (c *Core) issue(now uint64, th *thread) {
+// issue executes one instruction for th and returns the exec-latency stall
+// it leaves on the lane, in cycles.
+func (c *Core) issue(now uint64, th *thread) int {
 	prog := th.work.Prog
 	if th.pc < 0 || th.pc >= prog.Len() {
 		panic(fmt.Sprintf("cpu: core%d slot%d pc %d out of range for %q", c.ID, th.slot, th.pc, prog.Name))
 	}
 	// Instruction fetch.
 	if !c.fetch(now, th) {
-		return
+		return 0
 	}
 	in := prog.Insts[th.pc]
-	c.Stats.Issued.Inc()
+	stall := 0
 	switch {
 	case in.Op == isa.HALT:
-		th.state = THalted
 		if c.stageOut(now, th) {
-			th.state = TDraining
+			c.setState(th, TDraining)
+		} else {
+			c.setState(th, THalted)
 		}
 	case in.Op.IsBranch():
 		// Static BTFN prediction (backward taken, forward not taken), as
@@ -73,34 +50,42 @@ func (c *Core) issue(now uint64, th *thread) {
 		predictTaken := in.Op == isa.JAL || in.Op == isa.JALR || int(in.Imm) <= th.pc
 		th.pc = next
 		if taken != predictTaken {
-			th.busy = c.cfg.BranchPenalty
+			stall = c.cfg.BranchPenalty
 		}
 	case in.Op.IsLoad():
+		stall = c.execLoad(now, th, in)
+		if th.state == TWaitStore {
+			return 0 // blocked by the store buffer: pc unchanged, the retry counts
+		}
 		c.Stats.MemOps.Inc()
 		c.Stats.Loads.Inc()
-		c.execLoad(now, th, in)
 	case in.Op.IsStore():
+		stall = c.execStore(now, th, in)
+		if th.state == TWaitStore {
+			return 0 // blocked by the store buffer: pc unchanged, the retry counts
+		}
 		c.Stats.MemOps.Inc()
 		c.Stats.Stores.Inc()
-		c.execStore(now, th, in)
 	default:
 		isa.ExecALU(in, &th.regs)
-		th.busy = in.Op.Latency() - 1
+		stall = in.Op.Latency() - 1
 		th.pc++
 	}
+	c.Stats.Issued.Inc()
+	return stall
 }
 
 // fetch models instruction supply: SPM-resident shared segments always hit;
 // otherwise the I-cache is consulted and misses go to memory.
 func (c *Core) fetch(now uint64, th *thread) bool {
+	st := th.iseg
+	if st != nil && st.resident {
+		return true
+	}
 	base := th.work.CodeBase
 	if c.cfg.SharedISeg {
-		st := c.isegs[base]
-		if st != nil && st.resident {
-			return true
-		}
 		// Segment still streaming into SPM: wait.
-		th.state = TWaitIF
+		c.setState(th, TWaitIF)
 		if st != nil {
 			c.pumpISeg(now, base, st)
 		}
@@ -113,7 +98,7 @@ func (c *Core) fetch(now uint64, th *thread) bool {
 	c.Stats.IFMisses.Inc()
 	id := c.nextReqID()
 	c.pendIFetch[id] = addr // value unused for plain fetches; key presence matters
-	th.state = TWaitIF
+	c.setState(th, TWaitIF)
 	th.waitID = id
 	lineAddr := c.icache.LineAddr(addr)
 	req := noc.MemReq{ID: id, Addr: lineAddr, Size: 64, IFetch: true, Thread: th.slot}
@@ -122,8 +107,10 @@ func (c *Core) fetch(now uint64, th *thread) bool {
 }
 
 // execLoad routes a load by address: local SPM, remote SPM, or DRAM
-// (cached or direct). Loads first consult the thread's store buffer.
-func (c *Core) execLoad(now uint64, th *thread, in isa.Inst) {
+// (cached or direct), and returns its exec stall. Loads first consult the
+// thread's store buffer; a partial overlap parks the thread in TWaitStore
+// with pc unchanged, to re-execute once the stores drain.
+func (c *Core) execLoad(now uint64, th *thread, in isa.Inst) int {
 	addr := isa.EffAddr(in, &th.regs)
 	size := in.Op.AccessSize()
 
@@ -132,14 +119,12 @@ func (c *Core) execLoad(now uint64, th *thread, in isa.Inst) {
 	if hit, data, conflict := th.searchStores(addr, size); hit {
 		c.Stats.StoreFwd.Inc()
 		th.regs.Set(in.Rd, isa.LoadResult(in.Op, data))
-		th.busy = 0
 		th.pc++
-		return
+		return 0
 	} else if conflict {
 		c.Stats.StoreStall.Inc()
-		th.state = TWaitStore
-		// Re-execute this load once stores drain: pc unchanged.
-		return
+		c.setState(th, TWaitStore)
+		return 0
 	}
 
 	if spm.IsSPMAddr(addr, c.cfg.MemCores) {
@@ -148,30 +133,29 @@ func (c *Core) execLoad(now uint64, th *thread, in isa.Inst) {
 		if owner == c.ID {
 			raw := c.SPM.Read(spm.OffsetOf(addr), size)
 			th.regs.Set(in.Rd, isa.LoadResult(in.Op, raw))
-			th.busy = c.cfg.SPMLatency - 1
 			th.pc++
-			return
+			return c.cfg.SPMLatency - 1
 		}
 		// Remote SPM access travels the NoC (§3.5.1).
 		c.Stats.RemoteSPM.Inc()
 		c.sendLoad(now, th, in, addr, size, noc.CoreNode(owner))
-		return
+		return 0
 	}
 
 	if c.cfg.Cached {
-		c.cachedLoad(now, th, in, addr, size)
-		return
+		return c.cachedLoad(now, th, in, addr, size)
 	}
 	if c.cfg.Prefetch {
 		if c.prefetchLookup(th, in, addr, size) {
 			c.prefetchObserve(now, th, addr, size)
-			return
+			return c.cfg.SPMLatency - 1
 		}
 		defer c.prefetchObserve(now, th, addr, size)
 	}
 	// Direct path: the access granularity itself goes on the wire, to be
 	// collected by the sub-ring MACT.
 	c.sendLoad(now, th, in, addr, size, c.mcFor(addr))
+	return 0
 }
 
 // sendLoad issues a blocking load request and parks the thread.
@@ -179,7 +163,7 @@ func (c *Core) sendLoad(now uint64, th *thread, in isa.Inst, addr uint64, size i
 	id := c.nextReqID()
 	c.pendLoad[id] = th
 	c.loadStart[id] = now
-	th.state = TWaitMem
+	c.setState(th, TWaitMem)
 	th.waitID = id
 	th.loadInst = in
 	req := noc.MemReq{ID: id, Addr: addr, Size: size, Thread: th.slot}
@@ -187,29 +171,32 @@ func (c *Core) sendLoad(now uint64, th *thread, in isa.Inst, addr uint64, size i
 }
 
 // cachedLoad is the D-cache ablation path: functional data comes from the
-// shared store immediately; timing follows hit/miss.
-func (c *Core) cachedLoad(now uint64, th *thread, in isa.Inst, addr uint64, size int) {
+// shared store immediately; timing follows hit/miss. It returns the exec
+// stall.
+func (c *Core) cachedLoad(now uint64, th *thread, in isa.Inst, addr uint64, size int) int {
 	raw := c.store.Read(addr, size)
 	th.regs.Set(in.Rd, isa.LoadResult(in.Op, raw))
 	if c.dcache.Access(addr, false) {
-		th.busy = c.dcache.HitLatency() - 1
 		th.pc++
-		return
+		return c.dcache.HitLatency() - 1
 	}
 	c.Stats.DMisses.Inc()
 	id := c.nextReqID()
 	c.pendDFill[id] = th
 	c.loadStart[id] = now
-	th.state = TWaitMem
+	c.setState(th, TWaitMem)
 	th.waitID = id
 	th.pc++ // result already written; the fill only charges time
 	lineAddr := c.dcache.LineAddr(addr)
 	req := noc.MemReq{ID: id, Addr: lineAddr, Size: 64, Thread: th.slot}
 	c.send(noc.NewMemReqPacket(id, c.Node, c.mcFor(lineAddr), req, false, th.work.Priority, now))
+	return 0
 }
 
-// execStore routes a store by address, posting DRAM/remote writes.
-func (c *Core) execStore(now uint64, th *thread, in isa.Inst) {
+// execStore routes a store by address, posting DRAM/remote writes, and
+// returns its exec stall. A full store buffer parks the thread in
+// TWaitStore with pc unchanged (see postStore).
+func (c *Core) execStore(now uint64, th *thread, in isa.Inst) int {
 	addr := isa.EffAddr(in, &th.regs)
 	size := in.Op.AccessSize()
 	data := isa.StoreValue(in, &th.regs)
@@ -220,35 +207,34 @@ func (c *Core) execStore(now uint64, th *thread, in isa.Inst) {
 		if owner == c.ID {
 			off := spm.OffsetOf(addr)
 			c.SPM.Write(off, size, data)
-			th.busy = c.cfg.SPMLatency - 1
 			th.pc++
 			c.dma.maybeKick(now)
-			return
+			return c.cfg.SPMLatency - 1
 		}
 		c.Stats.RemoteSPM.Inc()
 		c.postStore(now, th, addr, size, data, noc.CoreNode(owner))
-		return
+		return 0
 	}
 
 	if c.cfg.Cached {
 		c.store.Write(addr, size, data)
 		if c.dcache.Access(addr, true) {
-			th.busy = c.dcache.HitLatency() - 1
 			th.pc++
-			return
+			return c.dcache.HitLatency() - 1
 		}
 		c.Stats.DMisses.Inc()
 		id := c.nextReqID()
 		c.pendDFill[id] = th
-		th.state = TWaitMem
+		c.setState(th, TWaitMem)
 		th.waitID = id
 		th.pc++
 		lineAddr := c.dcache.LineAddr(addr)
 		req := noc.MemReq{ID: id, Addr: lineAddr, Size: 64, Thread: th.slot}
 		c.send(noc.NewMemReqPacket(id, c.Node, c.mcFor(lineAddr), req, false, th.work.Priority, now))
-		return
+		return 0
 	}
 	c.postStore(now, th, addr, size, data, c.mcFor(addr))
+	return 0
 }
 
 // postStore sends a posted write, tracked in the store buffer until acked.
@@ -256,7 +242,7 @@ func (c *Core) postStore(now uint64, th *thread, addr uint64, size int, data uin
 	th.prefetchInvalidate(addr, size)
 	if len(th.stores) >= c.cfg.StoreCredits {
 		c.Stats.StoreStall.Inc()
-		th.state = TWaitStore
+		c.setState(th, TWaitStore)
 		return // re-execute once credits free
 	}
 	id := c.nextReqID()
@@ -301,6 +287,6 @@ func (c *Core) retireStore(th *thread, id uint64) {
 		}
 	}
 	if th.state == TWaitStore {
-		th.state = TReady
+		c.setState(th, TReady)
 	}
 }

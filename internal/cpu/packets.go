@@ -51,7 +51,7 @@ func (c *Core) onReadResp(now uint64, p *noc.Packet) {
 				st.resident = true
 				for _, th := range c.threads {
 					if th.state == TWaitIF && th.work.CodeBase == base {
-						th.state = TReady
+						c.setState(th, TReady)
 					}
 				}
 			}
@@ -60,7 +60,7 @@ func (c *Core) onReadResp(now uint64, p *noc.Packet) {
 		c.icache.Fill(resp.Addr, false)
 		for _, th := range c.threads {
 			if th.state == TWaitIF && th.waitID == resp.ID {
-				th.state = TReady
+				c.setState(th, TReady)
 			}
 		}
 		return
@@ -84,7 +84,7 @@ func (c *Core) onReadResp(now uint64, p *noc.Packet) {
 		c.dcache.Fill(resp.Addr, false)
 		c.observeLoadLat(now, resp.ID)
 		if th.state == TWaitMem && th.waitID == resp.ID {
-			th.state = TReady
+			c.setState(th, TReady)
 		}
 		return
 	}
@@ -99,7 +99,7 @@ func (c *Core) onReadResp(now uint64, p *noc.Packet) {
 	th.regs.Set(th.loadInst.Rd, isa.LoadResult(th.loadInst.Op, resp.Data))
 	th.pc++
 	if th.state == TWaitMem {
-		th.state = TReady
+		c.setState(th, TReady)
 	}
 }
 
@@ -129,7 +129,7 @@ func (c *Core) onWriteAck(now uint64, p *noc.Packet) {
 	if th, ok := c.pendDFill[resp.ID]; ok { // cached-mode store fill
 		delete(c.pendDFill, resp.ID)
 		if th.state == TWaitMem && th.waitID == resp.ID {
-			th.state = TReady
+			c.setState(th, TReady)
 		}
 		return
 	}
@@ -265,12 +265,12 @@ func (d *dmaEngine) finish(now uint64, fromRegs bool, kind doneKind, owner *thre
 	case doneStageIn:
 		owner.stagePend--
 		if owner.stagePend == 0 && owner.state == TStaging {
-			owner.state = TReady
+			d.core.setState(owner, TReady)
 		}
 	case doneStageOut:
 		owner.stagePend--
 		if owner.stagePend == 0 && owner.state == TDraining {
-			owner.state = THalted
+			d.core.setState(owner, THalted)
 		}
 	}
 }
@@ -278,6 +278,9 @@ func (d *dmaEngine) finish(now uint64, fromRegs bool, kind doneKind, owner *thre
 // tick issues up to one 64-byte chunk per cycle.
 func (d *dmaEngine) tick(now uint64) {
 	if !d.active {
+		if len(d.queue) == 0 {
+			return
+		}
 		d.start(now)
 	}
 	if !d.active || d.outstanding >= dmaMaxOutstanding || d.issued >= d.req.Len {

@@ -36,7 +36,8 @@ type prefetchState struct {
 // prefetchStreakTrigger is how many sequential accesses arm the prefetcher.
 const prefetchStreakTrigger = 3
 
-// prefetchLookup serves a load from the thread's line buffer if possible.
+// prefetchLookup serves a load from the thread's line buffer if possible;
+// a hit stalls the lane like an SPM access.
 func (c *Core) prefetchLookup(th *thread, in isa.Inst, addr uint64, size int) bool {
 	pf := &th.pf
 	if !pf.valid || addr < pf.lineAddr || addr+uint64(size) > pf.lineAddr+64 {
@@ -48,7 +49,6 @@ func (c *Core) prefetchLookup(th *thread, in isa.Inst, addr uint64, size int) bo
 		raw |= uint64(pf.data[off+uint64(i)]) << (8 * uint(i))
 	}
 	th.regs.Set(in.Rd, isa.LoadResult(in.Op, raw))
-	th.busy = c.cfg.SPMLatency - 1
 	th.pc++
 	c.Stats.PrefetchHits.Inc()
 	return true

@@ -118,7 +118,11 @@ func (c *Core) Kill(now uint64) {
 		for _, s := range th.stores {
 			d.await[s.id] = struct{}{}
 		}
-		*th = thread{slot: th.slot, state: TIdle}
+		c.setState(th, TIdle)
+		*th = thread{slot: th.slot}
+	}
+	for l := range c.lanes {
+		c.lanes[l].stall = 0
 	}
 	for id, ch := range c.dma.pendIDs {
 		if ch.write {

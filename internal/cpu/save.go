@@ -260,6 +260,12 @@ func sortedKeys[V any](m map[uint64]V) []uint64 {
 	return ks
 }
 
+// runs reports whether th is its lane's current thread, and returns the lane.
+func (c *Core) runs(th *thread) (*lane, bool) {
+	l := &c.lanes[th.slot/c.cfg.ThreadsPerLane]
+	return l, l.base+l.current == th.slot
+}
+
 func (c *Core) saveThread(e *snapshot.Encoder, th *thread) {
 	e.U8(uint8(th.state))
 	for _, r := range th.regs {
@@ -267,7 +273,13 @@ func (c *Core) saveThread(e *snapshot.Encoder, th *thread) {
 	}
 	e.Int(th.pc)
 	SaveWork(e, th.work)
-	e.Int(th.busy)
+	// The lane holds its current thread's exec stall; the encoding keeps it
+	// as that thread's busy count.
+	busy := 0
+	if l, cur := c.runs(th); cur {
+		busy = l.stall
+	}
+	e.Int(busy)
 	e.U64(th.waitID)
 	saveInst(e, th.loadInst)
 	e.U32(uint32(len(th.stores)))
@@ -293,14 +305,29 @@ func (c *Core) saveThread(e *snapshot.Encoder, th *thread) {
 	saveUndos(e, th.undo)
 }
 
+// restoreThread decodes one thread; the lanes' current indices must be
+// restored first, since a busy count becomes its lane's stall.
 func (c *Core) restoreThread(d *snapshot.Decoder, th *thread) {
-	th.state = ThreadState(d.U8())
+	s := ThreadState(d.U8())
+	if s >= numThreadStates {
+		d.Fail("cpu: snapshot slot %d has unknown state %d", th.slot, s)
+		return
+	}
+	c.setState(th, s)
 	for i := range th.regs {
 		th.regs[i] = d.I64()
 	}
 	th.pc = d.Int()
 	th.work = LoadWork(d)
-	th.busy = d.Int()
+	th.iseg = c.isegs[th.work.CodeBase] // empty unless SharedISeg
+	busy := d.Int()
+	switch l, cur := c.runs(th); {
+	case busy != 0 && (s != TReady || !cur):
+		d.Fail("cpu: snapshot stalls slot %d, which is not its lane's current Ready thread", th.slot)
+		return
+	case cur:
+		l.stall = busy
+	}
 	th.waitID = d.U64()
 	th.loadInst = restoreInst(d)
 	n := int(d.U32())
@@ -534,7 +561,12 @@ func (c *Core) RestoreState(d *snapshot.Decoder) {
 		return
 	}
 	for i := range c.lanes {
-		c.lanes[i].current = d.Int()
+		cur := d.Int()
+		if cur < 0 || cur >= c.cfg.ThreadsPerLane {
+			d.Fail("cpu: snapshot lane %d runs thread %d of %d", i, cur, c.cfg.ThreadsPerLane)
+			return
+		}
+		c.lanes[i].current = cur
 	}
 	nThreads := int(d.U32())
 	if nThreads != len(c.threads) {

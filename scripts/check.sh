@@ -26,13 +26,15 @@ go build ./...
 # the sim epoch tests plus the chip lookahead conformance matrix
 # (TestLookaheadConformance, TestTimelineLookaheadIdentical,
 # TestLookaheadCheckpointCrossSetting) all run under -race here.
-# 30m headroom: the chip suite alone runs ~16 minutes under -race on a
-# single-CPU host (the executor bit-identity and lookahead conformance
-# matrices are many full-chip runs), plus a few more for the sampled-mode
-# suites — the accuracy ledger trims itself to the short kernel subset
-# under the detector (race_on_test.go; the full matrix runs un-raced in
-# the no-short suite) but the estimate-invariance matrix keeps its
-# parallel-executor legs raced.
+# The 30m timeout is per test binary, and the chip suite nearly fills it:
+# on a 2-CPU host it took 1,739-1,762 s under -race, and on a busier day
+# reached the limit at 1,800 s, with card (144-177 s) and chaos
+# (524-600 s) running beside it. The executor bit-identity and lookahead
+# conformance matrices are many full-chip runs, and the sampled-mode
+# suites add more — the accuracy ledger trims itself to the short kernel
+# subset under the detector (race_on_test.go; the full matrix runs
+# un-raced in the no-short suite) but the estimate-invariance matrix
+# keeps its parallel-executor legs raced.
 # The sampling package rides along: its schedules drive the chip's sampled
 # runs (whose window fan-out shares a result slice across pool workers via
 # experiments.SampledFanOut), and the chip sampling suites in this same
