@@ -7,7 +7,6 @@
 package dram
 
 import (
-	"container/heap"
 	"fmt"
 
 	"smarco/internal/fault"
@@ -82,22 +81,53 @@ type completion struct {
 	q   queued
 }
 
+// completionQueue is a binary min-heap of in-service requests ordered by
+// (due, seq). push and pop sift exactly as container/heap's Push and Pop
+// do, without boxing entries, so the array order a checkpoint saves is the
+// one container/heap would leave.
 type completionQueue []completion
 
-func (c completionQueue) Len() int { return len(c) }
-func (c completionQueue) Less(i, j int) bool {
+func (c completionQueue) less(i, j int) bool {
 	if c[i].due != c[j].due {
 		return c[i].due < c[j].due
 	}
 	return c[i].seq < c[j].seq
 }
-func (c completionQueue) Swap(i, j int) { c[i], c[j] = c[j], c[i] }
-func (c *completionQueue) Push(x any)   { *c = append(*c, x.(completion)) }
-func (c *completionQueue) Pop() any {
-	old := *c
-	n := len(old)
-	v := old[n-1]
-	*c = old[:n-1]
+
+func (c *completionQueue) push(x completion) {
+	*c = append(*c, x)
+	h := *c
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (c *completionQueue) pop() completion {
+	h := *c
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	v := h[n]
+	h[n] = completion{}
+	*c = h[:n]
 	return v
 }
 
@@ -269,8 +299,8 @@ func (c *Controller) Tick(now uint64) {
 	}
 
 	// Deliver completed requests.
-	for c.done.Len() > 0 && c.done[0].due <= now {
-		comp := heap.Pop(&c.done).(completion)
+	for len(c.done) > 0 && c.done[0].due <= now {
+		comp := c.done.pop()
 		c.complete(now, comp.q)
 	}
 }
@@ -317,7 +347,7 @@ func (c *Controller) service(now uint64, q queued) {
 	c.Stats.QueueLat.Observe(now - q.arrived)
 	c.Stats.BytesBus.Add(uint64(c.dataBytes(q.pkt)))
 	c.seq++
-	heap.Push(&c.done, completion{due: now + uint64(lat), seq: c.seq, q: q})
+	c.done.push(completion{due: now + uint64(lat), seq: c.seq, q: q})
 }
 
 // eccCheck rolls the SECDED model for a read of `words` 64-bit words.
@@ -355,7 +385,7 @@ func (c *Controller) complete(now uint64, q queued) {
 		if c.eccCheck(words) {
 			q.eccRetried = true
 			c.seq++
-			heap.Push(&c.done, completion{due: now + uint64(c.cfg.RowMissCycles), seq: c.seq, q: q})
+			c.done.push(completion{due: now + uint64(c.cfg.RowMissCycles), seq: c.seq, q: q})
 			return
 		}
 	}
@@ -463,7 +493,7 @@ func (c *Controller) Quiescent(now uint64) (bool, uint64) {
 	if mu.current != nil && mu.busyUntil < wake {
 		wake = mu.busyUntil
 	}
-	if c.done.Len() > 0 && c.done[0].due < wake {
+	if len(c.done) > 0 && c.done[0].due < wake {
 		wake = c.done[0].due
 	}
 	return true, wake
@@ -482,8 +512,8 @@ func (c *Controller) Progress() uint64 {
 
 // Health implements sim.HealthReporter: non-empty while requests pend.
 func (c *Controller) Health() string {
-	if len(c.queue) == 0 && c.done.Len() == 0 {
+	if len(c.queue) == 0 && len(c.done) == 0 {
 		return ""
 	}
-	return fmt.Sprintf("%d queued, %d in service", len(c.queue), c.done.Len())
+	return fmt.Sprintf("%d queued, %d in service", len(c.queue), len(c.done))
 }

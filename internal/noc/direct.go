@@ -1,10 +1,6 @@
 package noc
 
-import (
-	"container/heap"
-
-	"smarco/internal/sim"
-)
+import "smarco/internal/sim"
 
 // DirectLink models the star-shaped direct datapath of §3.5.2: a dedicated
 // point-to-point channel from a sub-ring to the memory system that lets
@@ -33,18 +29,55 @@ type delayed struct {
 	pkt *Packet
 }
 
+// delayQueue is a binary min-heap of packets in flight ordered by
+// (due, seq). push and pop sift exactly as container/heap's Push and Pop
+// do, without boxing entries, so the array order a checkpoint saves is the
+// one container/heap would leave.
 type delayQueue []delayed
 
-func (q delayQueue) Len() int { return len(q) }
-func (q delayQueue) Less(i, j int) bool {
+func (q delayQueue) less(i, j int) bool {
 	if q[i].due != q[j].due {
 		return q[i].due < q[j].due
 	}
 	return q[i].seq < q[j].seq
 }
-func (q delayQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *delayQueue) Push(x any)   { *q = append(*q, x.(delayed)) }
-func (q *delayQueue) Pop() any     { old := *q; n := len(old); v := old[n-1]; *q = old[:n-1]; return v }
+
+func (q *delayQueue) push(x delayed) {
+	*q = append(*q, x)
+	h := *q
+	for j := len(h) - 1; j > 0; {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		j = i
+	}
+}
+
+func (q *delayQueue) pop() delayed {
+	h := *q
+	n := len(h) - 1
+	h[0], h[n] = h[n], h[0]
+	for i := 0; ; {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if j+1 < n && h.less(j+1, j) {
+			j++
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h[i], h[j] = h[j], h[i]
+		i = j
+	}
+	v := h[n]
+	h[n] = delayed{}
+	*q = h[:n]
+	return v
+}
 
 // NewDirectLink builds a direct link with the given one-way delay (cycles)
 // and per-direction bandwidth (bytes per cycle).
@@ -130,14 +163,14 @@ func (d *DirectLink) admit(now uint64, in *sim.Port[*Packet], q *delayQueue) {
 
 func (d *DirectLink) push(q *delayQueue, due uint64, p *Packet) {
 	d.seq++
-	heap.Push(q, delayed{due: due, seq: d.seq, pkt: p})
+	q.push(delayed{due: due, seq: d.seq, pkt: p})
 	d.Sent.Packets++
 	d.Sent.Bytes += uint64(p.Size)
 }
 
 func (d *DirectLink) deliverDue(now uint64, q *delayQueue, out *sim.Port[*Packet]) {
-	for q.Len() > 0 && (*q)[0].due <= now {
-		v := heap.Pop(q).(delayed)
+	for len(*q) > 0 && (*q)[0].due <= now {
+		v := q.pop()
 		v.pkt.Hops++
 		// SendFrom: the hub-side receive port (outA) crosses into the
 		// sub-ring shard; outB stays within the memory shard, where this is

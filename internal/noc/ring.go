@@ -17,6 +17,12 @@ type Ring struct {
 	routers []*Router
 	stopOf  map[NodeID]int
 	resolve func(NodeID) NodeID
+	// route caches the resolver and stopOf per destination: route[dst] is
+	// 1 + the stop where packets for dst leave the ring, 0 while dst is
+	// unresolved. routeDir fills it on first use, so building a ring pays
+	// nothing for it. A ring's routers all tick in one shard, so only one
+	// goroutine fills it.
+	route []int32
 }
 
 // NewRing builds a ring with the given number of stops. keyBase must be
@@ -55,7 +61,10 @@ func (r *Ring) SetFaultInjector(inj *fault.Injector) {
 }
 
 // SetResolver installs the destination resolver.
-func (r *Ring) SetResolver(f func(NodeID) NodeID) { r.resolve = f }
+func (r *Ring) SetResolver(f func(NodeID) NodeID) {
+	r.resolve = f
+	r.route = nil
+}
 
 // Attach binds node to the router at stop and returns the node's inject and
 // eject ports. The component sends packets to inject and drains eject.
@@ -67,6 +76,7 @@ func (r *Ring) Attach(stop int, node NodeID) (inject, eject *sim.Port[*Packet]) 
 		panic(fmt.Sprintf("noc: node %v attached twice to ring %q", node, r.Name))
 	}
 	r.stopOf[node] = stop
+	r.route = nil
 	rt := r.routers[stop]
 	return rt.inject, rt.eject
 }
@@ -99,11 +109,7 @@ func (r *Ring) StopOf(node NodeID) (int, bool) {
 // dirCW / dirCCW = continue around the ring. Ties in path length are broken
 // by downstream congestion (§3.2: cores choose direction by congestion).
 func (r *Ring) routeDir(rt *Router, p *Packet) int {
-	target := r.resolve(p.Dst)
-	stop, ok := r.stopOf[target]
-	if !ok {
-		panic(fmt.Sprintf("noc: ring %q cannot route to %v (resolved %v)", r.Name, p.Dst, target))
-	}
+	stop := r.stopFor(p.Dst)
 	if stop == rt.pos {
 		return -1
 	}
@@ -124,6 +130,32 @@ func (r *Ring) routeDir(rt *Router, p *Packet) int {
 		}
 		return dirCW
 	}
+}
+
+// stopFor returns the stop where packets for dst leave the ring.
+func (r *Ring) stopFor(dst NodeID) int {
+	if i := int(dst); i >= 0 && i < len(r.route) && r.route[i] != 0 {
+		return int(r.route[i] - 1)
+	}
+	return r.resolveStop(dst)
+}
+
+// resolveStop resolves dst through the resolver and the attachment map and
+// records the answer in the route table. An unroutable destination panics
+// and is not recorded.
+func (r *Ring) resolveStop(dst NodeID) int {
+	target := r.resolve(dst)
+	stop, ok := r.stopOf[target]
+	if !ok {
+		panic(fmt.Sprintf("noc: ring %q cannot route to %v (resolved %v)", r.Name, dst, target))
+	}
+	if i := int(dst); i >= 0 {
+		if i >= len(r.route) {
+			r.route = append(r.route, make([]int32, i+1-len(r.route))...)
+		}
+		r.route[i] = int32(stop + 1)
+	}
+	return stop
 }
 
 // neighborIn returns the input port on the neighboring router that receives

@@ -335,6 +335,37 @@ func BenchmarkDispatch(b *testing.B) {
 	}
 }
 
+// dormant sleeps from its first cycle on: nothing ever wakes it.
+type dormant struct{}
+
+func (dormant) Tick(uint64)                     {}
+func (dormant) Commit(uint64)                   {}
+func (dormant) Quiescent(uint64) (bool, uint64) { return true, WakeNever }
+
+// BenchmarkDispatchSleepers times one simulated cycle of a cross-port
+// wiring with one busy shard (a component ticking every cycle) beside
+// 0, 16 or 64 shards whose components all sleep, on the serial executor.
+// A sleeping shard's phases are skipped, so the cost per cycle should not
+// grow with the number of sleeping shards.
+func BenchmarkDispatchSleepers(b *testing.B) {
+	for _, n := range []int{0, 16, 64} {
+		b.Run(fmt.Sprintf("sleepers=%d", n), func(b *testing.B) {
+			e := NewEngine()
+			busy := &counterTicker{}
+			e.AddShard("busy", busy)
+			e.AddCrossPortFor(busy, NewPort[uint64](0))
+			for i := 0; i < n; i++ {
+				e.AddShard(fmt.Sprintf("sleep%d", i), dormant{})
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := e.Run(uint64(b.N), nil); !errors.Is(err, ErrBudget) {
+				b.Fatal(err)
+			}
+		})
+	}
+}
+
 // burster ticks only during [from, to): it sleeps on a timer until from,
 // then stays active until to, folding every cycle it ticks into sum.
 type burster struct {

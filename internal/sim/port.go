@@ -15,13 +15,19 @@ import (
 // parallel executor: goroutine interleaving can change the order in which
 // Send is called, but never the committed order.
 //
-// Locking contract: the mutex guards only the staged list (producers run on
-// arbitrary partition goroutines). The visible queue is owner-only state —
-// it is read and written exclusively by the owning shard's goroutine (Tick
-// consumption and port commit both run there) or by harness code between
-// runs, with the engine's phase barriers providing the happens-before edges.
-// Queue accessors (Peek, Pop, DrainInto, ...) therefore take no lock; a
-// component must never touch another component's port queue.
+// Locking contract: a port's producers and its owner normally run on one
+// goroutine, the owning shard's (within a shard; DESIGN.md §12), so
+// staging takes no lock. The exceptions are ports whose producers may
+// stage from two goroutines within one dispatch: every cross-shard port,
+// and the plain ports of a wiring without cross ports while the parallel
+// executor's workers run. The engine marks those shared, and only their
+// staging goes under the mutex. Commit and Seal run when no producer can
+// stage (the engine's phase and epoch barriers order them), so they take
+// no lock. The visible queue is owner-only state — read and written
+// exclusively by the owning shard's goroutine (Tick consumption and port
+// commit both run there) or by harness code between runs. Queue accessors
+// (Peek, Pop, DrainInto, ...) therefore take no lock; a component must
+// never touch another component's port queue.
 //
 // Cross-shard ports (Engine.AddCrossPortFor) additionally declare a minimum
 // delivery latency. Producers stamp sends with the current cycle (SendFrom);
@@ -30,9 +36,9 @@ import (
 // lets partitions run multiple cycles between barriers without changing the
 // simulated history. See DESIGN.md §12 for the lookahead contract.
 type Port[T any] struct {
-	mu     sync.Mutex // guards staged (and the dirty handoff) only
+	mu     sync.Mutex // guards staged and dirty while shared is set
+	shared bool       // producers may stage from two goroutines at once
 	staged []envelope[T]
-	spare  []envelope[T] // double buffer: drained staged batches, reused
 	queue  []T
 	cap    int // 0 = unbounded
 	// future holds sealed cross-shard envelopes ordered by (at, key, seq),
@@ -44,15 +50,14 @@ type Port[T any] struct {
 	nextDue uint64
 	lat     uint64 // declared MinLatency; 0 means the default of 1
 	cross   bool   // registered as a cross-shard port: Send must carry a cycle
-	// visLen mirrors len(queue) so hot paths can test emptiness and apply
-	// flow control without taking the mutex (simulators poll hundreds of
-	// ports per cycle).
+	// visLen mirrors len(queue) so producers on other goroutines can apply
+	// flow control without reading the owner's queue.
 	visLen atomic.Int32
 	// dirty is set by the first Send of a cycle and cleared by Commit/Seal.
 	// An idle port is never visited by the engine at all: the transition to
-	// dirty fires onDirty, which enqueues the port on its partition's
-	// commit list (or the engine's cross-port seal list).
-	dirty atomic.Bool
+	// dirty fires onDirty, which enqueues the port on its shard's commit
+	// list (or the engine's cross-port seal list).
+	dirty bool
 	// onDirty, when set, fires on the clean→dirty transition (at most once
 	// per cycle). The engine uses it to schedule the port for commit.
 	onDirty func()
@@ -77,21 +82,26 @@ func NewPort[T any](capacity int) *Port[T] {
 
 // SetOnDeliver installs a callback fired whenever new messages become
 // visible, with the first cycle the consumer can observe them. It must be
-// set during wiring, before the simulation runs; the callback must be safe
-// to call from any partition's goroutine (the engine installs an atomic
-// flag set).
+// set during wiring, before the simulation runs. Commit and ReleaseDue
+// fire it on the goroutine that executes the owner's shard, or between
+// dispatches.
 func (p *Port[T]) SetOnDeliver(f func(visibleAt uint64)) { p.onDeliver = f }
 
 // SetOnDirty installs the clean→dirty callback (see Engine registration).
-// Like SetOnDeliver it must be set during wiring and be safe to call from
-// any goroutine that may Send. A port that was sent to before registration
-// is already dirty, so the callback fires immediately to schedule it.
+// Like SetOnDeliver it must be set during wiring; it runs on the goroutine
+// of the Send that dirtied the port. A port that was sent to before
+// registration is already dirty, so the callback fires immediately to
+// schedule it.
 func (p *Port[T]) SetOnDirty(f func()) {
 	p.onDirty = f
-	if p.dirty.Load() {
+	if p.dirty {
 		f()
 	}
 }
+
+// setShared marks whether producers may stage from two goroutines within
+// one dispatch (see the locking contract). The engine sets it between runs.
+func (p *Port[T]) setShared(on bool) { p.shared = on }
 
 // SetMinLatency declares the minimum delivery latency of the port: a
 // message sent (SendFrom) at cycle t becomes visible at t+lat, never
@@ -119,6 +129,7 @@ func (p *Port[T]) markCross() {
 		panic("sim: cross-shard port must be unbounded (flow control reads the consumer's queue)")
 	}
 	p.cross = true
+	p.shared = true
 }
 
 // Send stages msg for delivery at the end of the current cycle. key orders
@@ -140,10 +151,16 @@ func (p *Port[T]) SendFrom(key, seq, now uint64, msg T) {
 }
 
 func (p *Port[T]) stage(env envelope[T]) {
-	p.mu.Lock()
+	if p.shared {
+		p.mu.Lock()
+	}
 	p.staged = append(p.staged, env)
-	p.mu.Unlock()
-	if p.dirty.CompareAndSwap(false, true) && p.onDirty != nil {
+	first := !p.dirty
+	p.dirty = true
+	if p.shared {
+		p.mu.Unlock()
+	}
+	if first && p.onDirty != nil {
 		p.onDirty()
 	}
 }
@@ -173,40 +190,32 @@ func (p *Port[T]) CanAcceptFrom(key uint64, n int) bool {
 	if room < 0 {
 		return false
 	}
-	if !p.dirty.Load() {
-		return true
+	if p.shared {
+		p.mu.Lock()
+		defer p.mu.Unlock()
 	}
-	p.mu.Lock()
 	own := 0
 	for i := range p.staged {
 		if p.staged[i].key == key {
 			own++
 		}
 	}
-	p.mu.Unlock()
 	return own <= room
 }
 
 // Commit publishes staged messages in deterministic order. The engine calls
 // this between the tick and commit phases; now is the cycle being committed,
 // so everything published becomes visible at now+1. It is a cheap no-op
-// (one atomic load) when nothing was staged this cycle. Commit panics on a
-// staged envelope due after now+1: that means a port with MinLatency > 1
-// was registered on the per-cycle commit path instead of as a cross-shard
-// port, which would deliver it early.
+// when nothing was staged this cycle. Commit panics on a staged envelope
+// due after now+1: that means a port with MinLatency > 1 was registered on
+// the per-cycle commit path instead of as a cross-shard port, which would
+// deliver it early.
 func (p *Port[T]) Commit(now uint64) {
-	if !p.dirty.Load() {
+	if !p.dirty {
 		return
 	}
-	p.mu.Lock()
-	p.dirty.Store(false)
+	p.dirty = false
 	batch := p.staged
-	p.staged = p.spare[:0]
-	p.mu.Unlock()
-	if len(batch) == 0 {
-		p.spare = batch[:0]
-		return
-	}
 	// Stable insertion sort by (key, seq). Staged batches are tiny (usually
 	// 1-2 envelopes) and often already ordered, and unlike sort.SliceStable
 	// this allocates nothing.
@@ -222,7 +231,7 @@ func (p *Port[T]) Commit(now uint64) {
 		p.queue = append(p.queue, batch[i].msg)
 	}
 	clearEnvelopes(batch)
-	p.spare = batch[:0]
+	p.staged = batch[:0]
 	p.visLen.Store(int32(len(p.queue)))
 	if cb := p.onDeliver; cb != nil {
 		cb(now + 1)
@@ -237,18 +246,11 @@ func (p *Port[T]) Commit(now uint64) {
 // order within a release batch is the same order a per-cycle commit would
 // have produced — this is what keeps multi-cycle epochs bit-identical.
 func (p *Port[T]) Seal(uint64) {
-	if !p.dirty.Load() {
+	if !p.dirty {
 		return
 	}
-	p.mu.Lock()
-	p.dirty.Store(false)
+	p.dirty = false
 	batch := p.staged
-	p.staged = p.spare[:0]
-	p.mu.Unlock()
-	if len(batch) == 0 {
-		p.spare = batch[:0]
-		return
-	}
 	for i := 1; i < len(batch); i++ {
 		for j := i; j > 0 && envAtLess(&batch[j], &batch[j-1]); j-- {
 			batch[j], batch[j-1] = batch[j-1], batch[j]
@@ -280,7 +282,7 @@ func (p *Port[T]) Seal(uint64) {
 	}
 	p.nextDue = p.future[0].at
 	clearEnvelopes(batch)
-	p.spare = batch[:0]
+	p.staged = batch[:0]
 }
 
 // ReleaseDue publishes every future envelope due at or before nextTick (the
@@ -336,7 +338,7 @@ func clearEnvelopes[T any](s []envelope[T]) {
 	}
 }
 
-// Empty reports whether no committed messages are visible, without locking.
+// Empty reports whether no committed messages are visible.
 func (p *Port[T]) Empty() bool { return p.visLen.Load() == 0 }
 
 // Len returns the number of visible (committed) messages.

@@ -46,9 +46,7 @@ func (r *RNG) Restore(d *snapshot.Decoder) { r.state = d.U64() }
 // (uncommitted) messages: checkpoints are only legal at epoch boundaries,
 // where every barrier has sealed and nothing is mid-flight unstamped.
 func SavePort[T any](e *snapshot.Encoder, p *Port[T], save func(*snapshot.Encoder, T)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.staged) > 0 || p.dirty.Load() {
+	if len(p.staged) > 0 || p.dirty {
 		panic("sim: SavePort on a port with staged messages (checkpoint off a cycle boundary)")
 	}
 	e.U32(uint32(len(p.queue)))
@@ -71,10 +69,8 @@ func SavePort[T any](e *snapshot.Encoder, p *Port[T], save func(*snapshot.Encode
 // carried by the entries themselves, and the done/watchdog grid is a pure
 // function of the wiring, not of the lookahead override.
 func RestorePort[T any](d *snapshot.Decoder, p *Port[T], load func(*snapshot.Decoder) T) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	p.staged = p.staged[:0]
-	p.dirty.Store(false)
+	p.dirty = false
 	n := int(d.U32())
 	p.queue = p.queue[:0]
 	for i := 0; i < n; i++ {
@@ -113,7 +109,7 @@ func (e *Engine) SaveState(enc *snapshot.Encoder) {
 		enc.U32(uint32(len(sh.comps)))
 		for _, cs := range sh.comps {
 			enc.Bool(cs.asleep)
-			enc.Bool(cs.woken.Load())
+			enc.Bool(cs.woken)
 		}
 		// The timer heap is serialized in slice order: the heap array layout
 		// is part of the deterministic state (pop order depends on it only
@@ -154,7 +150,7 @@ func (e *Engine) RestoreState(dec *snapshot.Decoder) {
 		sh.active = sh.active[:0]
 		for i, cs := range sh.comps {
 			cs.asleep = dec.Bool()
-			cs.woken.Store(dec.Bool())
+			cs.woken = dec.Bool()
 			if cs.asleep {
 				sh.asleep++
 			} else {
@@ -176,13 +172,12 @@ func (e *Engine) RestoreState(dec *snapshot.Decoder) {
 		sh.lastTicks = dec.U64()
 		// Transient per-step state: nothing can be dirty at a boundary.
 		sh.dirtyPorts = sh.dirtyPorts[:0]
-		sh.hasDirty.Store(false)
 		// Rebuild the woken queue from the restored flags: a component that
 		// slept with a pending wake mark must be re-queued or it would
 		// never be scanned again.
 		sh.wokenList = sh.wokenList[:0]
 		for i, cs := range sh.comps {
-			if cs.asleep && cs.woken.Load() {
+			if cs.asleep && cs.woken {
 				sh.wokenList = append(sh.wokenList, int32(i))
 			}
 		}

@@ -100,7 +100,9 @@ type CatchUpper interface {
 // outside the port system (e.g. a scheduler hard-killing a core). The
 // engine installs a wake callback at registration; the component must
 // invoke it whenever such a mutation gives it new work, or the engine may
-// never tick it again.
+// never tick it again. The callback may be invoked only from the Tick or
+// Commit of a component in the same shard, or by host code between runs
+// (or from Run's done callback): the shard's woken list takes no lock.
 type Wakeable interface {
 	SetWake(func())
 }
@@ -160,20 +162,22 @@ type CrossPort interface {
 // on the clean→dirty transition (the first Send of a cycle), which enqueues
 // the port on its owning shard's commit list. The port-commit phase then
 // visits only ports that were actually sent to, instead of every registered
-// port.
+// port. setShared makes the port lock its staging (see Engine.setShared).
 type dirtyNotifier interface {
 	SetOnDirty(func())
+	setShared(bool)
 }
 
-// compState tracks one registered component. woken is written by port
-// deliver callbacks (any partition's goroutine, port-commit phase) and read
-// by the owning shard's wake scan (tick phase); the phase barrier orders
-// the two, the atomic keeps the race detector satisfied.
+// compState tracks one registered component. woken marks a component
+// queued on its shard's woken list; like the list, it is written only on
+// the goroutine executing the shard (port deliveries, same-shard Wakeable
+// calls, the wake and quiesce steps) or between dispatches (barrier
+// releases, host code), so it is a plain field.
 type compState struct {
 	t      Ticker
 	q      Quiescer
 	asleep bool
-	woken  atomic.Bool
+	woken  bool
 	sh     *shard // owning shard; never changes after registration
 	si     int32  // index within the shard
 }
@@ -190,16 +194,29 @@ type shard struct {
 	timers timerHeap
 	// ports holds registered committers that do not support the dirty-queue
 	// protocol (anything that is not a *Port); they are committed every
-	// cycle. *Port registrations instead self-enqueue on dirtyPorts via
-	// their onDirty hook, so clean ports cost nothing per cycle.
+	// cycle. *Port registrations (plain) instead self-enqueue on dirtyPorts
+	// via their onDirty hook, so clean ports cost nothing per cycle.
+	// dirtyPorts is appended by the goroutine that sends and drained by
+	// portPhase; dirtyMu guards the appends only while shared is set (see
+	// Engine.setShared), because otherwise every sender runs on the
+	// goroutine executing this shard.
 	ports      []committer
-	dirtyMu    sync.Mutex
+	plain      []dirtyNotifier
 	dirtyPorts []committer
-	spareDirty []committer // double buffer reused by portPhase
-	hasDirty   atomic.Bool // dirtyPorts is non-empty; portPhase skips the lock when clear
-	asleep     int         // number of comps with asleep set
-	cur        Ticker      // component under execution, for panic diagnostics
-	at         uint64      // cycle under execution (set by tickPhase), likewise
+	dirtyMu    sync.Mutex
+	shared     bool
+	asleep     int    // number of comps with asleep set
+	cur        Ticker // component under execution, for panic diagnostics
+	at         uint64 // cycle under execution (set by tickPhase), likewise
+
+	// workAt is the first cycle at which the shard next has work: 0 (at
+	// once) while a component is active or woken or a port is dirty,
+	// otherwise the earlier of its timer heap's head and crossDue. The
+	// fused-epoch and per-shard-round paths skip every phase of the shard
+	// before it (runCycles). Wakes, dirtied ports and seals lower it; Run
+	// and Step reset it to 0 on entry, because host code may change state
+	// between calls.
+	workAt uint64
 
 	// crossIn holds the cross-shard ports owned by this shard's components.
 	// The shard releases their due deliveries each port phase (sealed
@@ -212,14 +229,13 @@ type shard struct {
 	crossDue uint64
 
 	// wokenList queues components marked woken since the last tick phase,
-	// replacing a per-cycle scan of every component. Appended under wokenMu
-	// from wherever a wake fires (port deliveries on the owning goroutine,
-	// barrier releases on the coordinator, Wakeable callbacks from
-	// anywhere); entries are deduplicated by the woken CAS and may be stale
-	// by drain time (the drain re-checks asleep and the flag).
-	wokenMu   sync.Mutex
+	// replacing a per-cycle scan of every component. Appended where a wake
+	// fires: port deliveries and Wakeable callbacks from the shard's own
+	// Tick or Commit, on the goroutine executing the shard, and barrier
+	// releases and host code between dispatches; so it takes no lock.
+	// Entries are deduplicated by the woken flag and may be stale by drain
+	// time (the drain re-checks asleep and the flag).
 	wokenList []int32
-	spareWoke []int32 // double buffer reused by the drain
 
 	// Deterministic load estimate: ticks accumulates the number of
 	// component Ticks this shard has executed (a pure function of the
@@ -247,25 +263,29 @@ type shard struct {
 	prof *Profile
 }
 
-// markDirty enqueues a port for commit at this shard's next port phase.
-// Called from any goroutine that may Send (phase barriers keep it out of
-// portPhase itself).
+// markDirty enqueues a port for commit at this shard's next port phase
+// and wakes the shard. Called on the goroutine that Sends (phase barriers
+// keep it out of portPhase itself); under the lock only while shared.
 func (sh *shard) markDirty(pt committer) {
-	sh.dirtyMu.Lock()
-	sh.dirtyPorts = append(sh.dirtyPorts, pt)
-	sh.hasDirty.Store(true)
-	sh.dirtyMu.Unlock()
+	if sh.shared {
+		sh.dirtyMu.Lock()
+		sh.dirtyPorts = append(sh.dirtyPorts, pt)
+		sh.dirtyMu.Unlock()
+	} else {
+		sh.dirtyPorts = append(sh.dirtyPorts, pt)
+	}
+	sh.workAt = 0
 }
 
-// markWoken flags a component for wake-up at the shard's next tick phase.
-// The CAS on the woken flag bounds the queue: a component already marked is
-// not appended again, and the flag is cleared when the component wakes or
-// (stale marks) when it quiesces with all deliveries visible.
+// markWoken flags a component for wake-up at the shard's next tick phase
+// and wakes the shard. The woken flag bounds the queue: a component already
+// marked is not appended again, and the flag is cleared when the component
+// wakes or (stale marks) when it quiesces with all deliveries visible.
 func (sh *shard) markWoken(cs *compState) {
-	if cs.woken.CompareAndSwap(false, true) {
-		sh.wokenMu.Lock()
+	if !cs.woken {
+		cs.woken = true
 		sh.wokenList = append(sh.wokenList, cs.si)
-		sh.wokenMu.Unlock()
+		sh.workAt = 0
 	}
 }
 
@@ -316,9 +336,8 @@ type Engine struct {
 	crossPorts   []CrossPort
 	crossOwner   []*shard // the shard owning each crossPorts entry
 	sinkPorts    []committer
-	crossMu      sync.Mutex
+	crossMu      sync.Mutex // guards dirtyCross appends from partition goroutines
 	dirtyCross   []int32
-	spareCross   []int32
 	crossPending []uint64
 	lookahead    uint64
 	epochs       uint64
@@ -499,6 +518,7 @@ func (e *Engine) AddPort(p committer) {
 func registerPort(sh *shard, p committer) {
 	if dn, ok := p.(dirtyNotifier); ok {
 		dn.SetOnDirty(func() { sh.markDirty(p) })
+		sh.plain = append(sh.plain, dn)
 		return
 	}
 	sh.ports = append(sh.ports, p)
@@ -936,39 +956,38 @@ func (e *Engine) barrier() {
 // future list (the Seal is ordered by (release,key,seq), so the merge is
 // independent of the drain order here) and marks the port pending. Called
 // with all phase work idle: at epoch barriers, and at the end of every
-// per-shard round.
+// per-shard round. The dispatch that just returned orders every append to
+// dirtyCross before this read, so it takes no lock.
 func (e *Engine) sealCross() {
-	e.crossMu.Lock()
-	dirty := e.dirtyCross
-	e.dirtyCross = e.spareCross[:0]
-	e.crossMu.Unlock()
-	for _, idx := range dirty {
-		cp := e.crossPorts[idx]
-		cp.Seal(e.now)
+	for _, idx := range e.dirtyCross {
+		e.crossPorts[idx].Seal(e.now)
 		e.markPending(int(idx))
 	}
-	e.spareCross = dirty[:0]
+	e.dirtyCross = e.dirtyCross[:0]
 }
 
 // markPending records that cross port idx may hold sealed entries: its
-// bit in the pending bitmap, and its owning shard's crossDue.
+// bit in the pending bitmap, and its owning shard's crossDue, which wakes
+// the shard by then.
 func (e *Engine) markPending(idx int) {
 	if due := e.crossPorts[idx].NextDue(); due != WakeNever {
 		e.crossPending[idx/64] |= 1 << (idx % 64)
 		sh := e.crossOwner[idx]
 		sh.crossDue = min(sh.crossDue, due)
+		sh.workAt = min(sh.workAt, due)
 	}
 }
 
 // syncCross rebuilds the pending bitmap and the shards' crossDue bounds
-// from every cross port's future list. Run and Step call it on entry,
-// because between calls host code may have restored ports from a
-// checkpoint; inside Run only seals add entries, and sealCross marks
-// those.
+// from every cross port's future list, and wakes every shard. Run and Step
+// call it on entry, because between calls host code may have restored
+// ports from a checkpoint or otherwise changed state; inside Run only
+// seals add entries, and sealCross marks those.
 func (e *Engine) syncCross() {
 	clear(e.crossPending)
 	for _, sh := range e.shards {
 		sh.crossDue = WakeNever
+		sh.workAt = 0
 	}
 	for i := range e.crossPorts {
 		e.markPending(i)
@@ -1041,7 +1060,8 @@ func (e *Engine) runRound(p *partition) {
 			continue
 		}
 		p.cur = sh
-		runShardBlock(sh, m, w)
+		sh.runCycles(m, m+w)
+		sh.blocks++
 		e.winClocks[sh.id] = m + w
 	}
 }
@@ -1057,19 +1077,35 @@ func (e *Engine) roundBlock(sh *shard) uint64 {
 	return min(e.shardWins[sh.id], e.roundEnd-m)
 }
 
-// runShardBlock runs one shard's fused block of n cycles starting at
-// start: deliveries already due are released first (sealed entries from
-// earlier rounds whose cycle has arrived — later cycles release mid-block
-// in portPhase), then the three phases run cycle by cycle with the same
-// shard-major locality as runEpochPhases.
-func runShardBlock(sh *shard, start, n uint64) {
-	sh.releaseCross(start)
-	for t, end := start, start+n; t < end; t++ {
+// runCycles runs the shard's cycles [start, end) back to back, the loop
+// of both fused epochs and per-shard blocks: each cycle first releases
+// the deliveries already due (sealed entries whose cycle has arrived; a
+// running shard releases the next cycle's in portPhase), then runs the
+// tick, port and commit phases. A cycle before workAt is skipped whole:
+// the shard has no component to tick, no port to commit and no delivery
+// to release in it, so its phases would change nothing, and the first
+// cycle it runs again releases what fell due meanwhile.
+func (sh *shard) runCycles(start, end uint64) {
+	for t := max(start, sh.workAt); t < end; t = max(t+1, sh.workAt) {
+		sh.releaseCross(t)
 		sh.tickPhase(t)
 		sh.portPhase(t)
 		sh.commitPhase(t)
+		sh.workAt = sh.nextWork()
 	}
-	sh.blocks++
+}
+
+// nextWork is workAt as of the end of a cycle: 0 while a component is
+// active or woken or a port is dirty or always committed, otherwise the
+// earlier of the next timer and the earliest sealed delivery.
+func (sh *shard) nextWork() uint64 {
+	if len(sh.active) > 0 || len(sh.wokenList) > 0 || len(sh.dirtyPorts) > 0 || len(sh.ports) > 0 {
+		return 0
+	}
+	if len(sh.timers) > 0 {
+		return min(sh.timers[0].at, sh.crossDue)
+	}
+	return sh.crossDue
 }
 
 func (p *partition) tickPhase(now uint64) {
@@ -1108,7 +1144,7 @@ func (sh *shard) tickPhase(now uint64) {
 		cs := sh.comps[idx]
 		if cs.asleep {
 			cs.asleep = false
-			cs.woken.Store(false)
+			cs.woken = false
 			sh.asleep--
 			sh.active = append(sh.active, idx)
 			woke = true
@@ -1117,32 +1153,22 @@ func (sh *shard) tickPhase(now uint64) {
 			}
 		}
 	}
-	if len(sh.wokenList) > 0 {
-		// Reading len without the mutex is safe: everything that appends is
-		// ordered before this tick phase (port deliveries and barrier
-		// releases by the phase barriers, Wakeable callbacks by their own
-		// phase), so a racing append that could be missed here cannot exist
-		// when the simulation is deterministic. Entries may be stale —
-		// the component woke or quiesced since — hence the re-check.
-		sh.wokenMu.Lock()
-		marked := sh.wokenList
-		sh.wokenList = sh.spareWoke[:0]
-		sh.wokenMu.Unlock()
-		for _, idx := range marked {
-			cs := sh.comps[idx]
-			if cs.asleep && cs.woken.Load() {
-				cs.asleep = false
-				cs.woken.Store(false)
-				sh.asleep--
-				sh.active = append(sh.active, idx)
-				woke = true
-				if sh.tr != nil {
-					sh.tr.wake(sh.id, idx, now, false)
-				}
+	// Entries may be stale (the component woke or quiesced since), hence
+	// the re-check.
+	for _, idx := range sh.wokenList {
+		cs := sh.comps[idx]
+		if cs.asleep && cs.woken {
+			cs.asleep = false
+			cs.woken = false
+			sh.asleep--
+			sh.active = append(sh.active, idx)
+			woke = true
+			if sh.tr != nil {
+				sh.tr.wake(sh.id, idx, now, false)
 			}
 		}
-		sh.spareWoke = marked[:0]
 	}
+	sh.wokenList = sh.wokenList[:0]
 	if woke {
 		sortActive(sh.active)
 	}
@@ -1171,18 +1197,13 @@ func (sh *shard) portPhase(now uint64) {
 	for _, pt := range sh.ports {
 		pt.Commit(now)
 	}
-	if sh.hasDirty.Load() {
-		sh.dirtyMu.Lock()
-		dirty := sh.dirtyPorts
-		sh.dirtyPorts = sh.spareDirty[:0]
-		sh.hasDirty.Store(false)
-		sh.dirtyMu.Unlock()
-		for i, pt := range dirty {
-			pt.Commit(now)
-			dirty[i] = nil
-		}
-		sh.spareDirty = dirty[:0]
+	// No Send runs during a port phase, so the list is not appended to
+	// while it drains.
+	for i, pt := range sh.dirtyPorts {
+		pt.Commit(now)
+		sh.dirtyPorts[i] = nil
 	}
+	sh.dirtyPorts = sh.dirtyPorts[:0]
 	// Release cross-shard deliveries falling due mid-epoch: envelopes
 	// sealed at earlier barriers whose cycle has arrived.
 	sh.releaseCross(now + 1)
@@ -1192,11 +1213,15 @@ func (sh *shard) portPhase(now uint64) {
 }
 
 // releaseCross publishes the shard's cross-shard deliveries due by cycle
-// t and recomputes crossDue. A shard with nothing due returns at once.
+// t and recomputes crossDue. A shard with nothing due returns at once
+// (the check inlines into the per-cycle callers).
 func (sh *shard) releaseCross(t uint64) {
-	if sh.crossDue > t {
-		return
+	if sh.crossDue <= t {
+		sh.releaseDue(t)
 	}
+}
+
+func (sh *shard) releaseDue(t uint64) {
 	due := WakeNever
 	for _, cp := range sh.crossIn {
 		if cp.NextDue() <= t {
@@ -1229,7 +1254,7 @@ func (sh *shard) commitPhase(now uint64) {
 			if idle, wakeAt := cs.q.Quiescent(now); idle && wakeAt > now {
 				// Deliveries up to this cycle are already visible, so any
 				// prior wake mark is stale: clear it alongside.
-				cs.woken.Store(false)
+				cs.woken = false
 				cs.asleep = true
 				sh.asleep++
 				if wakeAt != WakeNever {
@@ -1269,14 +1294,12 @@ func sortActive(a []int32) {
 func (p *partition) runEpochPhases(start, n uint64) {
 	end := start + n
 	for _, sh := range p.shards {
-		p.cur = sh
-		for t := start; t < end; t++ {
-			sh.tickPhase(t)
-			sh.portPhase(t)
-			sh.commitPhase(t)
-		}
 		if n > 1 {
 			sh.blocks++
+		}
+		if sh.workAt < end {
+			p.cur = sh
+			sh.runCycles(start, end)
 		}
 	}
 }
@@ -1454,6 +1477,7 @@ func (e *Engine) startWorkers() {
 	if len(e.parts) < 2 {
 		return
 	}
+	e.setShared(true)
 	if e.coord.wake == nil {
 		e.coord.wake = make(chan struct{}, 1)
 	}
@@ -1475,6 +1499,27 @@ func (e *Engine) stopWorkers() {
 	e.publish(opStop)
 	e.wg.Wait()
 	e.workers = nil
+	e.setShared(false)
+}
+
+// setShared switches the locks on plain-port staging and the shards' dirty
+// lists on or off around the workers' lifetime. Only a wiring without
+// cross ports needs them: its classic cycle ticks every partition at once,
+// and a component may send to a port another partition owns. Once a wiring
+// registers cross ports, every inter-shard link is one (DESIGN.md §12), so
+// a plain port's producers and owner share a shard and a goroutine.
+// Cross ports always lock their staging, and the engine's dirty-cross list
+// its appends: their producers sit in other shards.
+func (e *Engine) setShared(on bool) {
+	if len(e.crossPorts) > 0 {
+		return
+	}
+	for _, sh := range e.shards {
+		sh.shared = on
+		for _, p := range sh.plain {
+			p.setShared(on)
+		}
+	}
 }
 
 // spinFor bounds how long a waiter polls before it parks. It covers a

@@ -26,11 +26,11 @@ go build ./...
 # the sim epoch tests plus the chip lookahead conformance matrix
 # (TestLookaheadConformance, TestTimelineLookaheadIdentical,
 # TestLookaheadCheckpointCrossSetting) all run under -race here.
-# The 30m timeout is per test binary, and the chip suite nearly fills it:
-# on a 2-CPU host it took 1,739-1,762 s under -race, and on a busier day
-# reached the limit at 1,800 s, with card (144-177 s) and chaos
-# (524-600 s) running beside it. The executor bit-identity and lookahead
-# conformance matrices are many full-chip runs, and the sampled-mode
+# The 30m timeout is per test binary. On a 2-CPU host the chip suite
+# takes 1,228 s under -race, with card (113 s) and chaos (443 s) running
+# beside it; before idle shards were skipped it took 1,739-1,800 s. The
+# executor bit-identity, lookahead and hetero-latency conformance matrices
+# (273, 227 and 219 s) are many full-chip runs, and the sampled-mode
 # suites add more — the accuracy ledger trims itself to the short kernel
 # subset under the detector (race_on_test.go; the full matrix runs
 # un-raced in the no-short suite) but the estimate-invariance matrix
