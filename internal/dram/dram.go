@@ -440,18 +440,21 @@ func (c *Controller) complete(now uint64, q queued) {
 				c.order++
 				r.Order = c.order
 			}
-			for i := 0; i < 64; i++ {
-				if pl.Bitmap&(1<<uint(i)) != 0 {
-					if ras {
-						r.Data[i] = c.store.ByteAt(pl.LineAddr + uint64(i))
+			if pl.Bitmap != 0 {
+				// A batch line is 64-byte aligned, so it lies in one page.
+				line := c.store.PageRun(pl.LineAddr, 64)
+				for i := range line {
+					if pl.Bitmap&(1<<uint(i)) != 0 {
+						if ras {
+							r.Data[i] = line[i]
+						}
+						line[i] = pl.Data[i]
 					}
-					c.store.SetByte(pl.LineAddr+uint64(i), pl.Data[i])
 				}
 			}
 		} else {
 			c.Stats.Reads.Inc()
-			line := c.store.ReadBytes(pl.LineAddr, 64)
-			copy(r.Data[:], line)
+			c.store.ReadInto(pl.LineAddr, r.Data[:])
 		}
 		resp = noc.NewBatchRespPacket(pl.ID, c.Node, p.Src, r, now)
 	default:

@@ -39,7 +39,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 	"reflect"
 	"runtime"
 	"sort"
@@ -326,22 +325,16 @@ type Engine struct {
 	// Conservative lookahead state. crossPorts lists every registered
 	// cross-shard port; dirtyCross queues the indices of the ones sent to
 	// since the last barrier (self-enqueued via their onDirty hook) for
-	// sealing. crossPending is a bitmap over crossPorts indices marking the
-	// ports that may hold sealed entries, so the barrier's release loop
-	// visits only those, in registration order: a seal that leaves entries
-	// sets the bit, the barrier clears it once the port's future list is
-	// empty, and syncCross rebuilds it on entry to Run and Step. lookahead is the configured epoch cap
-	// (0 = auto); epochs counts completed multi-cycle epochs for
-	// observability.
-	crossPorts   []CrossPort
-	crossOwner   []*shard // the shard owning each crossPorts entry
-	sinkPorts    []committer
-	crossMu      sync.Mutex // guards dirtyCross appends from partition goroutines
-	dirtyCross   []int32
-	crossPending []uint64
-	lookahead    uint64
-	epochs       uint64
-	epochN       uint64 // cycles in the epoch being dispatched
+	// sealing. lookahead is the configured epoch cap (0 = auto); epochs
+	// counts completed multi-cycle epochs for observability.
+	crossPorts []CrossPort
+	crossOwner []*shard // the shard owning each crossPorts entry
+	sinkPorts  []committer
+	crossMu    sync.Mutex // guards dirtyCross appends from partition goroutines
+	dirtyCross []int32
+	lookahead  uint64
+	epochs     uint64
+	epochN     uint64 // cycles in the epoch being dispatched
 
 	// Per-shard window state (DESIGN.md §14). perShardOff disables the
 	// per-shard executor (the zero value keeps it on); shardWins and
@@ -580,9 +573,6 @@ func (e *Engine) AddCrossPortFor(owner Ticker, ports ...CrossPort) {
 		idx := int32(len(e.crossPorts))
 		e.crossPorts = append(e.crossPorts, cp)
 		e.crossOwner = append(e.crossOwner, sh)
-		if len(e.crossPending) <= int(idx)/64 {
-			e.crossPending = append(e.crossPending, 0)
-		}
 		cp.SetOnDirty(func() { e.markCrossDirty(idx) })
 		cp.SetOnDeliver(func(visibleAt uint64) {
 			sh.markWoken(cs)
@@ -928,24 +918,17 @@ func (e *Engine) advance(n uint64) {
 // execute. A send at cycle u arrived with at = u + lat >= epoch-end, so
 // sealing cannot race the epoch's own mid-cycle releases; the release here
 // covers exactly the lat == epoch-length envelopes that fall due
-// immediately (the classic next-cycle delivery when lookahead is 1).
+// immediately (the classic next-cycle delivery when lookahead is 1). Each
+// shard with a delivery due releases its own ports, as its next cycle
+// would, which leaves its crossDue exact: the shard does not rescan its
+// ports on that cycle with nothing due.
 func (e *Engine) barrier() {
 	if len(e.crossPorts) == 0 && len(e.sinkPorts) == 0 {
 		return
 	}
 	e.sealCross()
-	for w, word := range e.crossPending {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			word &= word - 1
-			cp := e.crossPorts[w*64+b]
-			if cp.NextDue() <= e.now {
-				cp.ReleaseDue(e.now)
-			}
-			if cp.NextDue() == WakeNever {
-				e.crossPending[w] &^= 1 << b
-			}
-		}
+	for _, sh := range e.shards {
+		sh.releaseCross(e.now)
 	}
 	for _, pt := range e.sinkPorts {
 		pt.Commit(e.now)
@@ -966,25 +949,22 @@ func (e *Engine) sealCross() {
 	e.dirtyCross = e.dirtyCross[:0]
 }
 
-// markPending records that cross port idx may hold sealed entries: its
-// bit in the pending bitmap, and its owning shard's crossDue, which wakes
-// the shard by then.
+// markPending lowers the owning shard's crossDue to cross port idx's
+// earliest sealed delivery, which wakes the shard by then.
 func (e *Engine) markPending(idx int) {
 	if due := e.crossPorts[idx].NextDue(); due != WakeNever {
-		e.crossPending[idx/64] |= 1 << (idx % 64)
 		sh := e.crossOwner[idx]
 		sh.crossDue = min(sh.crossDue, due)
 		sh.workAt = min(sh.workAt, due)
 	}
 }
 
-// syncCross rebuilds the pending bitmap and the shards' crossDue bounds
-// from every cross port's future list, and wakes every shard. Run and Step
-// call it on entry, because between calls host code may have restored
-// ports from a checkpoint or otherwise changed state; inside Run only
-// seals add entries, and sealCross marks those.
+// syncCross rebuilds the shards' crossDue bounds from every cross port's
+// future list, and wakes every shard. Run and Step call it on entry,
+// because between calls host code may have restored ports from a
+// checkpoint or otherwise changed state; inside Run only seals add
+// entries, and sealCross marks those.
 func (e *Engine) syncCross() {
-	clear(e.crossPending)
 	for _, sh := range e.shards {
 		sh.crossDue = WakeNever
 		sh.workAt = 0
@@ -1224,10 +1204,12 @@ func (sh *shard) releaseCross(t uint64) {
 func (sh *shard) releaseDue(t uint64) {
 	due := WakeNever
 	for _, cp := range sh.crossIn {
-		if cp.NextDue() <= t {
+		next := cp.NextDue()
+		if next <= t {
 			cp.ReleaseDue(t)
+			next = cp.NextDue()
 		}
-		due = min(due, cp.NextDue())
+		due = min(due, next)
 	}
 	sh.crossDue = due
 }

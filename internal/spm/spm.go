@@ -2,7 +2,8 @@
 // programmer-managed store with unified global addressing, shareable across
 // a sub-ring, whose top 256 bytes are DMA control registers. Timing and the
 // DMA engine live with the core (internal/cpu); this package owns storage,
-// the global SPM address map, and register decoding.
+// the global SPM address map, and register decoding. Storage is allocated
+// as it is written (mem.Flat), and a snapshot still holds all of it.
 package spm
 
 import (
@@ -68,7 +69,9 @@ func CtrlBase(core int) uint64 {
 	return AddrOf(core, DataBytes)
 }
 
-// SPM is one core's scratchpad: flat data plus control registers.
+// SPM is one core's scratchpad: flat data plus control registers. The data
+// array allocates its 4 KB chunks on first write, so a core costs the
+// scratchpad it uses, not 128 KB up front; an unwritten chunk reads as zero.
 type SPM struct {
 	Core int
 	data *mem.Flat
@@ -100,20 +103,17 @@ func (s *SPM) Write(off uint64, size int, val uint64) {
 	s.data.Write(off, size, val)
 }
 
-// ReadBytes copies n data bytes from off (for DMA chunking).
+// ReadBytes copies n data bytes from off (for DMA chunking), one data
+// chunk at a time.
 func (s *SPM) ReadBytes(off uint64, n int) []byte {
 	out := make([]byte, n)
-	for i := range out {
-		out[i] = byte(s.data.Read(off+uint64(i), 1))
-	}
+	s.data.ReadInto(off, out)
 	return out
 }
 
-// WriteBytes stores b at data offset off.
+// WriteBytes stores b at data offset off, one data chunk at a time.
 func (s *SPM) WriteBytes(off uint64, b []byte) {
-	for i, v := range b {
-		s.data.Write(off+uint64(i), 1, uint64(v))
-	}
+	s.data.WriteBytes(off, b)
 }
 
 func (s *SPM) readReg(off uint64, size int) uint64 {

@@ -102,3 +102,15 @@ func TestCtrlBase(t *testing.T) {
 		t.Fatal("paper specifies a 256-byte control window")
 	}
 }
+
+func TestUnwrittenChunkReadsWithoutAllocating(t *testing.T) {
+	s := New(0)
+	s.Write(0, 8, 1) // the probed chunk neighbours a written one
+	if n := testing.AllocsPerRun(100, func() {
+		if s.Read(4096, 8) != 0 || s.Read(DataBytes-8, 8) != 0 {
+			t.Fatal("an unwritten chunk read nonzero")
+		}
+	}); n != 0 {
+		t.Fatalf("reads of an unwritten chunk allocate %v times per run", n)
+	}
+}

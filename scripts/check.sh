@@ -27,10 +27,11 @@ go build ./...
 # (TestLookaheadConformance, TestTimelineLookaheadIdentical,
 # TestLookaheadCheckpointCrossSetting) all run under -race here.
 # The 30m timeout is per test binary. On a 2-CPU host the chip suite
-# takes 1,228 s under -race, with card (113 s) and chaos (443 s) running
-# beside it; before idle shards were skipped it took 1,739-1,800 s. The
-# executor bit-identity, lookahead and hetero-latency conformance matrices
-# (273, 227 and 219 s) are many full-chip runs, and the sampled-mode
+# takes 1,302 s under -race, with card (115 s) and chaos (416 s) running
+# beside it, and the whole script 24.5 minutes; before idle shards were
+# skipped the chip suite took 1,739-1,800 s. The executor bit-identity,
+# lookahead and hetero-latency conformance matrices (259, 221 and 251 s)
+# are many full-chip runs, and the sampled-mode
 # suites add more — the accuracy ledger trims itself to the short kernel
 # subset under the detector (race_on_test.go; the full matrix runs
 # un-raced in the no-short suite) but the estimate-invariance matrix
@@ -39,9 +40,14 @@ go build ./...
 # runs (whose window fan-out shares a result slice across pool workers via
 # experiments.SampledFanOut), and the chip sampling suites in this same
 # command exercise those paths under -race.
+# The mem and spm stores ride along too (a few seconds): memory
+# controllers on different partitions create pages of the one DRAM image
+# side by side (TestConcurrentPageCreation), and SPM chunks are allocated
+# on first write.
 go test -race -timeout 30m ./internal/sim/... ./internal/fault/... \
     ./internal/chip/... ./internal/runner/... ./internal/sampling/... \
-    ./internal/card/... ./internal/chaos/...
+    ./internal/card/... ./internal/chaos/... ./internal/mem/... \
+    ./internal/spm/...
 # Every figure harness runs its chip and Xeon-model simulations side by side
 # on the run pool, which shares the heap (and the result slice) across
 # workers; the short pool-width invariance cells, Fig. 17 and Fig. 22, cover
