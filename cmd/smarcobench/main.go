@@ -217,8 +217,8 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 				}
 				mode := ""
 				if v.Hetero() {
-					mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d global-window=%v",
-						r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency, r.GlobalWindow)
+					mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d",
+						r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency)
 				}
 				if r.Handoffs != nil {
 					mode += fmt.Sprintf(" handoffs=%.3f", *r.Handoffs)
@@ -380,14 +380,13 @@ type benchFloor struct {
 	Parallel    bool   `json:"parallel"`
 	LinkLatency uint64 `json:"link_latency,omitempty"`
 	Lookahead   uint64 `json:"lookahead,omitempty"`
-	// Per-class latency overrides and the window-mode switch, mirroring
-	// experiments.EngineBenchVariant: heterogeneous floors guard the
-	// per-shard-window executor alongside the uniform lookahead A/B.
+	// Per-class latency overrides, mirroring experiments.EngineBenchVariant:
+	// heterogeneous floors guard per-shard windows alongside the uniform
+	// lookahead A/B.
 	DRAMLatency     uint64  `json:"dram_latency,omitempty"`
 	MainRingLatency uint64  `json:"mainring_latency,omitempty"`
 	SubRingLatency  uint64  `json:"subring_latency,omitempty"`
 	CreditLatency   uint64  `json:"credit_latency,omitempty"`
-	GlobalWindow    bool    `json:"global_window,omitempty"`
 	CyclesPerSec    float64 `json:"cycles_per_sec"`
 	// MaxRegress is the tolerated fractional slowdown before the smoke run
 	// fails (0 selects 0.30). Generous because CI machines vary widely.
@@ -420,7 +419,6 @@ func benchSmoke(path string) error {
 			MainRingLatency: floor.MainRingLatency,
 			SubRingLatency:  floor.SubRingLatency,
 			CreditLatency:   floor.CreditLatency,
-			GlobalWindow:    floor.GlobalWindow,
 		}
 		// Best of 2 keeps one scheduler hiccup from tripping a CI failure;
 		// the generous MaxRegress absorbs the rest.
@@ -431,8 +429,8 @@ func benchSmoke(path string) error {
 		limit := floor.CyclesPerSec * (1 - floor.MaxRegress)
 		mode := ""
 		if v.Hetero() {
-			mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d global-window=%v",
-				r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency, r.GlobalWindow)
+			mode = fmt.Sprintf(" dram=%d mainring=%d subring=%d credit=%d",
+				r.DRAMLatency, r.MainRingLatency, r.SubRingLatency, r.CreditLatency)
 		}
 		fmt.Printf("%-8s parallel=%-5v linklat=%d lookahead=%d%s cycles/sec=%.0f (floor %.0f, fail below %.0f)\n",
 			r.Config, r.Parallel, r.LinkLatency, r.Lookahead, mode, r.CyclesPerSec, floor.CyclesPerSec, limit)

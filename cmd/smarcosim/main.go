@@ -64,7 +64,6 @@ func main() {
 	mainringLatency := flag.Uint64("mainring-latency", 0, "main-ring injection latency in cycles (0 = -link-latency)")
 	subringLatency := flag.Uint64("subring-latency", 0, "sub-ring-class latency in cycles: hub ejects and sub-scheduler inboxes (0 = -link-latency)")
 	creditLatency := flag.Uint64("credit-latency", 0, "scheduler credit-return latency in cycles (0 = -link-latency)")
-	perShardWindows := flag.Bool("per-shard-windows", true, "let each shard fuse up to its own incoming-latency window (false = engine-wide global-min window); results identical either way")
 	budget := flag.Uint64("budget", 100_000_000, "cycle budget")
 	sampleEvery := flag.Uint64("sample-every", 0, "sampled mode: one detailed window per N estimated cycles (0 = full detail)")
 	sampleWindow := flag.Uint64("sample-window", 10_000, "sampled mode: detailed window length in cycles")
@@ -123,7 +122,6 @@ func main() {
 	cfg.MainRingLatency = *mainringLatency
 	cfg.SubRingLatency = *subringLatency
 	cfg.CreditLatency = *creditLatency
-	cfg.GlobalWindow = !*perShardWindows
 	if *sampleEvery > 0 {
 		cfg.Sampling = sampling.Config{Every: *sampleEvery, Window: *sampleWindow, MinBatch: *sampleBatch}
 	}
@@ -342,11 +340,7 @@ func main() {
 				}
 				fmt.Fprintf(&sb, "%dx window %d", hist[w], w)
 			}
-			mode := "per-shard windows"
-			if !c.PerShardWindows() {
-				mode = "global-min window (per-shard disabled)"
-			}
-			fmt.Printf("engine: %s: %s\n", mode, sb.String())
+			fmt.Printf("engine: per-shard windows: %s\n", sb.String())
 		}
 	}
 	if r := c.Sampled(); r != nil {

@@ -87,25 +87,20 @@ type Config struct {
 	//	CreditLatency:   credit returns into the main scheduler.
 	//
 	// Distinct values make the engine's safe window per-shard: a memory
-	// shard fed only by latency-8 links fuses 8-cycle blocks while the
-	// scheduler shard steps cycle by cycle (see GlobalWindow). As with
+	// shard fed only by latency-8 links runs 8-cycle blocks while the
+	// scheduler shard steps cycle by cycle (DESIGN.md §14). As with
 	// LinkLatency, these define the simulated machine — results are
-	// bit-identical across executors, lookahead caps, and window modes on
-	// the same latency profile, but differ between profiles.
+	// bit-identical across executors and lookahead caps on the same
+	// latency profile, but differ between profiles.
 	DRAMLatency     uint64
 	MainRingLatency uint64
 	SubRingLatency  uint64
 	CreditLatency   uint64
-	// Lookahead caps the engine's epoch length in cycles. 0 means "auto":
-	// use the full conservative window derived from the link latencies.
-	// Values above the window are clamped down; results are bit-identical
-	// for every setting on the same LinkLatency machine.
+	// Lookahead caps every shard's window in cycles. 0 means "auto": use
+	// the full conservative window derived from the link latencies. Values
+	// above a shard's window leave it unchanged; results are bit-identical
+	// for every setting on the same machine.
 	Lookahead uint64
-	// GlobalWindow forces the engine-wide global-min epoch window
-	// (DESIGN.md §12) instead of per-shard windows (§14). An A/B switch
-	// for benchmarking the executor: simulated results are identical
-	// either way, and uniform-latency machines behave the same regardless.
-	GlobalWindow bool
 	// ClockHz converts cycles to seconds for cross-machine comparisons
 	// (SmarCo runs at 1.5 GHz).
 	ClockHz float64
@@ -278,7 +273,6 @@ func Build(cfg Config, store *mem.Sparse) (*Chip, error) {
 	}
 	c.eng.SetWatchdog(wd)
 	c.eng.SetLookahead(cfg.Lookahead)
-	c.eng.SetPerShardWindows(!cfg.GlobalWindow)
 	var err error
 	if cfg.Topology == "mesh" {
 		err = c.buildMesh()
@@ -646,11 +640,6 @@ func (c *Chip) Handoffs() (handed, dispatched uint64) { return c.eng.Handoffs() 
 // each shard's safe fused-block window under the configured latencies and
 // Lookahead cap, plus the fused blocks executed so far (DESIGN.md §14).
 func (c *Chip) WindowReport() []sim.ShardWindow { return c.eng.WindowReport() }
-
-// PerShardWindows reports whether per-shard fused-block windows are enabled
-// (Config.GlobalWindow false); they still only engage when some shard's
-// window exceeds the global minimum.
-func (c *Chip) PerShardWindows() bool { return c.eng.PerShardWindows() }
 
 // Step advances one cycle (exposed for fine-grained harnesses).
 func (c *Chip) Step() { c.eng.Step() }

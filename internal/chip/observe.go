@@ -103,14 +103,10 @@ type SnapshotChip struct {
 	// Per-class cross-link latencies (DESIGN.md §14); reported only when
 	// they override the uniform LinkLatency. Unlike LinkLatency they are
 	// configuration facts that define the simulated machine per class.
-	DRAMLatency     uint64 `json:"dram_latency,omitempty"`
-	MainRingLatency uint64 `json:"mainring_latency,omitempty"`
-	SubRingLatency  uint64 `json:"subring_latency,omitempty"`
-	CreditLatency   uint64 `json:"credit_latency,omitempty"`
-	// PerShardWindows marks a run under the per-shard window executor
-	// (DESIGN.md §14). An execution-mode fact like Parallel: results are
-	// identical with it on or off.
-	PerShardWindows bool    `json:"per_shard_windows,omitempty"`
+	DRAMLatency     uint64  `json:"dram_latency,omitempty"`
+	MainRingLatency uint64  `json:"mainring_latency,omitempty"`
+	SubRingLatency  uint64  `json:"subring_latency,omitempty"`
+	CreditLatency   uint64  `json:"credit_latency,omitempty"`
 	ClockHz         float64 `json:"clock_hz"`
 }
 
@@ -196,10 +192,9 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 	if la := c.eng.Lookahead(); la > 1 {
 		s.Chip.Lookahead = la
 	}
-	// The window report appears whenever some shard may fuse multi-cycle
-	// blocks; the per-shard flag only when the mode actually engages (some
-	// window exceeds the global-min epoch length). Classic 1-cycle-link
-	// snapshots stay byte-identical to older engine versions.
+	// The window report appears whenever some shard may run multi-cycle
+	// blocks, so 1-cycle-link snapshots stay byte-identical to older
+	// engine versions.
 	if wr := c.eng.WindowReport(); len(wr) > 0 {
 		var maxWin uint64
 		for _, w := range wr {
@@ -210,7 +205,6 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 		if maxWin > 1 {
 			s.Windows = wr
 		}
-		s.Chip.PerShardWindows = c.eng.PerShardWindows() && maxWin > c.eng.Lookahead()
 	}
 	if c.prof != nil {
 		s.Profile = c.prof.Partitions()

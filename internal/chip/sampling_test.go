@@ -164,16 +164,16 @@ func TestSampledWindowEntryFingerprints(t *testing.T) {
 }
 
 // TestSampledEstimateInvariance: the estimate, the per-window rates, and
-// the final memory image are bit-identical across engine executors,
-// lookahead settings, and window modes — on a uniform LinkLatency-4
-// machine and on the heterogeneous DRAM-8/NoC-2/credit-1 machine — and
+// the final memory image are bit-identical across engine executors and
+// lookahead settings — on a uniform LinkLatency-4 machine and on the
+// heterogeneous DRAM-8/NoC-2/credit-1 machine — and
 // across budget-sliced resumption. Window boundaries are observed on the
 // engine's absolute done-condition grid, which all of those share; the
 // two machines have different timing, so each compares against its own
 // cycle-by-cycle reference.
 func TestSampledEstimateInvariance(t *testing.T) {
 	tasks := 720
-	run := func(exec string, look uint64, hetero, global bool, slices []uint64) (*Chip, uint64) {
+	run := func(exec string, look uint64, hetero bool, slices []uint64) (*Chip, uint64) {
 		cfg := sampTinyConfig()
 		cfg.Sampling = sampDefaultCadence
 		cfg.Executor = exec
@@ -184,7 +184,6 @@ func TestSampledEstimateInvariance(t *testing.T) {
 			cfg.MainRingLatency = 2
 			cfg.SubRingLatency = 2
 			cfg.CreditLatency = 1
-			cfg.GlobalWindow = global
 		}
 		w := sampTinyWorkload(tasks)
 		c := New(cfg, w.Mem)
@@ -207,21 +206,19 @@ func TestSampledEstimateInvariance(t *testing.T) {
 		return c, est
 	}
 
-	ref, refEst := run("serial", 1, false, false, nil)
-	refHet, refHetEst := run("serial", 1, true, true, nil) // hetero machine, cycle-by-cycle
+	ref, refEst := run("serial", 1, false, nil)
+	refHet, refHetEst := run("serial", 1, true, nil) // hetero machine, cycle-by-cycle
 	for _, tc := range []struct {
 		name   string
 		exec   string
 		look   uint64
 		hetero bool
-		global bool
 		slices []uint64
 	}{
 		{name: "serial-auto", exec: "serial"},
 		{name: "parallel-look1", exec: "parallel", look: 1},
 		{name: "parallel-auto", exec: "parallel"},
 		{name: "serial-auto-sliced", exec: "serial", slices: []uint64{100_003, 900_001}},
-		{name: "hetero-global-auto", exec: "serial", hetero: true, global: true},
 		{name: "hetero-per-shard-serial", exec: "serial", hetero: true},
 		{name: "hetero-per-shard-parallel", exec: "parallel", hetero: true},
 		{name: "hetero-per-shard-look4", exec: "serial", look: 4, hetero: true},
@@ -231,7 +228,7 @@ func TestSampledEstimateInvariance(t *testing.T) {
 		if tc.hetero {
 			wantC, wantEst = refHet, refHetEst
 		}
-		c, est := run(tc.exec, tc.look, tc.hetero, tc.global, tc.slices)
+		c, est := run(tc.exec, tc.look, tc.hetero, tc.slices)
 		if est != wantEst {
 			t.Fatalf("%s: estimate %d, reference %d", tc.name, est, wantEst)
 		}
@@ -507,16 +504,16 @@ func FuzzSampleBoundaries(f *testing.F) {
 }
 
 // FuzzSampleHeteroBoundaries is FuzzSampleBoundaries on heterogeneous
-// machines: arbitrary per-class latencies, SetLookahead clamps, and either
-// window mode compose with arbitrary cadences and budget slicings (plus a
-// checkpoint/restore at the first stop) without disturbing the estimate,
-// the window statistics, or the final memory image.
+// machines: arbitrary per-class latencies and SetLookahead clamps compose
+// with arbitrary cadences and budget slicings (plus a checkpoint/restore
+// at the first stop) without disturbing the estimate, the window
+// statistics, or the final memory image.
 func FuzzSampleHeteroBoundaries(f *testing.F) {
-	f.Add(uint64(100_000), uint64(10_000), uint64(8), uint64(2), uint64(1), uint64(0), false, uint64(137), uint64(911), uint(120))
-	f.Add(uint64(50_000), uint64(50_000), uint64(5), uint64(3), uint64(2), uint64(4), false, uint64(64), uint64(1), uint(80))
-	f.Add(uint64(9_999), uint64(377), uint64(8), uint64(2), uint64(1), uint64(0), true, uint64(1), uint64(4_999), uint(300))
-	f.Add(uint64(1_000_000), uint64(333), uint64(3), uint64(7), uint64(4), uint64(2), false, uint64(333), uint64(333), uint(16))
-	f.Fuzz(func(t *testing.T, every, window, dram, ring, credit, look uint64, global bool, s1, s2 uint64, tasks uint) {
+	f.Add(uint64(100_000), uint64(10_000), uint64(8), uint64(2), uint64(1), uint64(0), uint64(137), uint64(911), uint(120))
+	f.Add(uint64(50_000), uint64(50_000), uint64(5), uint64(3), uint64(2), uint64(4), uint64(64), uint64(1), uint(80))
+	f.Add(uint64(9_999), uint64(377), uint64(8), uint64(2), uint64(1), uint64(0), uint64(1), uint64(4_999), uint(300))
+	f.Add(uint64(1_000_000), uint64(333), uint64(3), uint64(7), uint64(4), uint64(2), uint64(333), uint64(333), uint(16))
+	f.Fuzz(func(t *testing.T, every, window, dram, ring, credit, look uint64, s1, s2 uint64, tasks uint) {
 		cad := sampling.Config{Every: 1 + every%1_000_000}
 		cad.Window = 1 + window%cad.Every
 		dram = 1 + dram%8
@@ -534,7 +531,6 @@ func FuzzSampleHeteroBoundaries(f *testing.F) {
 		cfg.SubRingLatency = ring
 		cfg.CreditLatency = credit
 		cfg.Lookahead = look
-		cfg.GlobalWindow = global
 		mk := func() *kernels.Workload {
 			return kernels.MustNew("kmp", kernels.Config{Seed: 11, Tasks: nTasks, Scale: 16})
 		}
@@ -589,8 +585,8 @@ func FuzzSampleHeteroBoundaries(f *testing.F) {
 			t.Fatal(err)
 		}
 		if est != refEst {
-			t.Fatalf("cad=%+v dram=%d ring=%d credit=%d look=%d global=%v slices=(%d,%d) tasks=%d: estimate %d, reference %d",
-				cad, dram, ring, credit, look, global, s1, s2, nTasks, est, refEst)
+			t.Fatalf("cad=%+v dram=%d ring=%d credit=%d look=%d slices=(%d,%d) tasks=%d: estimate %d, reference %d",
+				cad, dram, ring, credit, look, s1, s2, nTasks, est, refEst)
 		}
 		r := c.Sampled()
 		if len(r.Windows) != len(refR.Windows) {

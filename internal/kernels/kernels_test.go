@@ -275,3 +275,20 @@ func TestStagedWorkloadStillVerifiesFunctionally(t *testing.T) {
 		}
 	}
 }
+
+// TestKMeansInputAllocations bounds the allocations kmeans makes building
+// the paper-scale inputs perfbench's paper-kmeans workload uses (seed 3,
+// 2,048 tasks, scale 48, SPM-staged): each task's points live in one
+// slice, so the count stays far below one allocation per point (98,304).
+func TestKMeansInputAllocations(t *testing.T) {
+	cfg := Config{Seed: 3, Tasks: 2048, Scale: 48, StageSPM: true}
+	allocs := testing.AllocsPerRun(1, func() {
+		if _, err := New("kmeans", cfg); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 10_000 {
+		t.Fatalf("kmeans inputs made %.0f allocations, want at most 10,000", allocs)
+	}
+	t.Logf("%.0f allocations", allocs)
+}

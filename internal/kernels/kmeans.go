@@ -115,7 +115,7 @@ func NewKMeans(cfg Config) *Workload {
 	}
 
 	type block struct {
-		pts            [][]float64
+		pts            []float64 // points×d, row-major: one allocation per task
 		assignA, sumsA uint64
 	}
 	blocks := make([]block, cfg.Tasks)
@@ -123,13 +123,10 @@ func NewKMeans(cfg Config) *Workload {
 		ptsBase := a.alloc(points * d * 8)
 		assignBase := a.alloc(points * 8)
 		sumsBase := a.alloc(k * (d + 1) * 8)
-		pts := make([][]float64, points)
+		pts := make([]float64, points*d)
 		for i := range pts {
-			pts[i] = make([]float64, d)
-			for j := range pts[i] {
-				pts[i][j] = rng.Float64() * 10
-				m.WriteUint64(ptsBase+uint64(i*d+j)*8, math.Float64bits(pts[i][j]))
-			}
+			pts[i] = rng.Float64() * 10
+			m.WriteUint64(ptsBase+uint64(i)*8, math.Float64bits(pts[i]))
 		}
 		blocks[t] = block{pts: pts, assignA: assignBase, sumsA: sumsBase}
 		task := Task{
@@ -175,15 +172,16 @@ func NewKMeans(cfg Config) *Workload {
 }
 
 // refKMeans mirrors the kernel: same iteration order, same float64 ops, so
-// results are bit-identical.
-func refKMeans(pts, cents [][]float64) (assign []int64, sums [][]float64) {
+// results are bit-identical. pts holds the points row by row, d values each.
+func refKMeans(pts []float64, cents [][]float64) (assign []int64, sums [][]float64) {
 	k, d := len(cents), len(cents[0])
-	assign = make([]int64, len(pts))
+	assign = make([]int64, len(pts)/d)
 	sums = make([][]float64, k)
 	for c := range sums {
 		sums[c] = make([]float64, d+1)
 	}
-	for i, p := range pts {
+	for i := range assign {
+		p := pts[i*d : (i+1)*d]
 		best := int64(-1)
 		bestDist := math.Inf(1)
 		for c := 0; c < k; c++ {

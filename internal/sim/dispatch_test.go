@@ -56,55 +56,60 @@ func receipts(ps ...*pinger) string {
 	return fmt.Sprint(logs)
 }
 
-// TestFusedSingleCycleEpochs: on a wiring whose cross ports all take one
-// cycle, every cycle is a one-cycle fused epoch. Deliveries still land on
-// exactly u+1, identically under a Step loop and under Run, serially and
-// on 2 and 3 partitions, and neither Epochs nor the per-shard block
-// counters count the single-cycle epochs.
+// TestFusedSingleCycleEpochs: a Step is a one-cycle window on every
+// wiring, while Run cuts the run into windows as wide as the widest
+// shard's. On the wiring whose cross ports all take one cycle that is one
+// cycle too; on the 8/2/1 triangle it is eight. Either way deliveries land
+// on exactly u+lat, identically under a Step loop and under Run, serially
+// and on 2 and 3 partitions, and neither Epochs nor the per-shard block
+// counters count one-cycle windows.
 func TestFusedSingleCycleEpochs(t *testing.T) {
 	setProcs(t, 2)
-	var ref string
-	for _, parts := range []int{1, 2, 3} {
-		for _, useRun := range []bool{false, true} {
-			e, ps := buildTriangleLat([3]uint64{1, 1, 1}, 0, parts > 1, true)
-			e.SetMaxPartitions(parts)
-			if useRun {
-				if _, err := e.Run(300, nil); !errors.Is(err, ErrBudget) {
-					t.Fatalf("parts=%d: %v", parts, err)
-				}
-			} else {
-				for i := 0; i < 300; i++ {
-					e.Step()
-				}
-			}
-			name := fmt.Sprintf("parts=%d run=%v", parts, useRun)
-			if got := e.Partitions(); got != parts {
-				t.Fatalf("%s: %d partitions", name, got)
-			}
-			// a hears c (key 3), b hears a (key 1), c hears b (key 2).
-			for i, from := range []uint64{3, 1, 2} {
-				if len(ps[i].log) == 0 {
-					t.Fatalf("%s: pinger%d received nothing", name, ps[i].key)
-				}
-				for _, rec := range ps[i].log {
-					if u := rec[1] - from*1_000_000; rec[0] != u+1 {
-						t.Fatalf("%s: send at %d received at %d, want %d", name, u, rec[0], u+1)
+	for _, lat := range [][3]uint64{{1, 1, 1}, {8, 2, 1}} {
+		var ref string
+		for _, parts := range []int{1, 2, 3} {
+			for _, useRun := range []bool{false, true} {
+				e, ps := buildTriangleLat(lat, 0, parts > 1)
+				e.SetMaxPartitions(parts)
+				if useRun {
+					if _, err := e.Run(300, nil); !errors.Is(err, ErrBudget) {
+						t.Fatalf("lat=%v parts=%d: %v", lat, parts, err)
+					}
+				} else {
+					for i := 0; i < 300; i++ {
+						e.Step()
 					}
 				}
-			}
-			got := receipts(ps[:]...)
-			if ref == "" {
-				ref = got
-			} else if got != ref {
-				t.Fatalf("%s: receipt history diverged from serial", name)
-			}
-			if n := e.Epochs(); n != 0 {
-				t.Fatalf("%s: %d epochs counted, want 0", name, n)
-			}
-			for _, w := range e.WindowReport() {
-				if w.Window != 1 || w.Blocks != 0 {
-					t.Fatalf("%s: shard %s window %d blocks %d, want window 1 and no blocks",
-						name, w.Label, w.Window, w.Blocks)
+				name := fmt.Sprintf("lat=%v parts=%d run=%v", lat, parts, useRun)
+				if got := e.Partitions(); got != parts {
+					t.Fatalf("%s: %d partitions", name, got)
+				}
+				// a hears c (key 3), b hears a (key 1), c hears b (key 2).
+				for i, from := range []uint64{3, 1, 2} {
+					if len(ps[i].log) == 0 {
+						t.Fatalf("%s: pinger%d received nothing", name, ps[i].key)
+					}
+					for _, rec := range ps[i].log {
+						if u := rec[1] - from*1_000_000; rec[0] != u+lat[i] {
+							t.Fatalf("%s: send at %d received at %d, want %d", name, u, rec[0], u+lat[i])
+						}
+					}
+				}
+				got := receipts(ps[:]...)
+				if ref == "" {
+					ref = got
+				} else if got != ref {
+					t.Fatalf("%s: receipt history diverged from serial Step", name)
+				}
+				oneCycle := !useRun || lat == [3]uint64{1, 1, 1}
+				if n := e.Epochs(); (n == 0) != oneCycle {
+					t.Fatalf("%s: %d epochs counted, want them only for multi-cycle windows", name, n)
+				}
+				for i, w := range e.WindowReport() {
+					if w.Window != lat[i] || (w.Blocks == 0) != oneCycle {
+						t.Fatalf("%s: shard %s window %d blocks %d, want window %d and blocks only for multi-cycle windows",
+							name, w.Label, w.Window, w.Blocks, lat[i])
+					}
 				}
 			}
 		}
@@ -121,32 +126,31 @@ type orderTicker struct {
 func (o *orderTicker) Tick(uint64)   { *o.log = append(*o.log, o.name+":tick") }
 func (o *orderTicker) Commit(uint64) { *o.log = append(*o.log, o.name+":commit") }
 
-// TestSingleCyclePath pins which path one cycle takes: shard by shard (a
-// one-cycle fused epoch) once the wiring registers cross ports, phase by
-// phase (the classic cycle) when it registers none.
+// TestSingleCyclePath pins how one cycle runs: shard by shard, each
+// shard's phases before the next shard's, on a wiring without cross ports
+// as on one that registers them.
 func TestSingleCyclePath(t *testing.T) {
 	var log []string
 	x, y := &orderTicker{"x", &log}, &orderTicker{"y", &log}
-	fused, _, _ := buildPingPong(1, 0, false)
-	fused.AddShard("x", x)
-	fused.AddShard("y", y)
-	fused.Step()
-	if got, want := fmt.Sprint(log), "[x:tick x:commit y:tick y:commit]"; got != want {
-		t.Fatalf("cross-port wiring ran %v, want shard-major %v", got, want)
-	}
-	log = nil
-	classic := NewEngine()
-	classic.AddShard("x", x)
-	classic.AddShard("y", y)
-	classic.Step()
-	if got, want := fmt.Sprint(log), "[x:tick y:tick x:commit y:commit]"; got != want {
-		t.Fatalf("plain wiring ran %v, want phase-major %v", got, want)
+	crossed, _, _ := buildPingPong(1, 0, false)
+	for _, tc := range []struct {
+		name string
+		e    *Engine
+	}{{"wiring without cross ports", NewEngine()}, {"cross-port wiring", crossed}} {
+		log = nil
+		tc.e.AddShard("x", x)
+		tc.e.AddShard("y", y)
+		tc.e.Step()
+		if got, want := fmt.Sprint(log), "[x:tick x:commit y:tick y:commit]"; got != want {
+			t.Fatalf("%s ran %v, want shard-major %v", tc.name, got, want)
+		}
 	}
 }
 
 // TestWorkersJoinedAfterRun: Run starts its workers and has joined them by
 // the time it returns, whichever way it ends — done, budget, a component
-// panic, or the watchdog — on the classic, fused, and per-shard paths.
+// panic, or the watchdog — on one-cycle windows, windows of one round, and
+// per-shard rounds.
 func TestWorkersJoinedAfterRun(t *testing.T) {
 	setProcs(t, 2)
 	for _, tc := range []struct {
@@ -159,7 +163,7 @@ func TestWorkersJoinedAfterRun(t *testing.T) {
 			return e, func() bool { return a.sent >= 20 }
 		}, func(err error) bool { return err == nil }},
 		{"budget", func() (*Engine, func() bool) {
-			e, _ := buildTriangle(0, true, true)
+			e, _ := buildTriangle(0, true)
 			e.SetMaxPartitions(2)
 			return e, nil
 		}, func(err error) bool { return errors.Is(err, ErrBudget) }},
@@ -167,8 +171,8 @@ func TestWorkersJoinedAfterRun(t *testing.T) {
 			e := NewEngine()
 			e.SetParallel(true)
 			e.SetMaxPartitions(2)
-			e.AddPartition(&panicTicker{name: "core7", at: 50})
-			e.AddPartition(idleTicker{})
+			e.AddShard("", &panicTicker{name: "core7", at: 50})
+			e.AddShard("", idleTicker{})
 			return e, nil
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "panicked at cycle 50") }},
 		{"watchdog", func() (*Engine, func() bool) {
@@ -209,7 +213,7 @@ func TestBudgetSlicedRunsMatchStraightRun(t *testing.T) {
 	const total = 300
 	for _, lat := range [][3]uint64{{8, 2, 1}, {1, 1, 1}} {
 		run := func(parallel bool, slice uint64) string {
-			e, ps := buildTriangleLat(lat, 0, parallel, true)
+			e, ps := buildTriangleLat(lat, 0, parallel)
 			e.SetMaxPartitions(2)
 			handOffAll(e)
 			before := runtime.NumGoroutine()
@@ -252,28 +256,18 @@ func TestConcurrentEnginesOversubscribed(t *testing.T) {
 	setProcs(t, 2)
 	const cycles = 600
 	scenarios := []func(parallel bool) (*Engine, func() string){
-		func(parallel bool) (*Engine, func() string) { // one-cycle fused epochs
+		func(parallel bool) (*Engine, func() string) { // one-cycle windows
 			e, a, b := buildPingPong(1, 0, parallel)
 			return e, func() string { return receipts(a, b) }
 		},
-		func(parallel bool) (*Engine, func() string) { // four-cycle fused epochs
+		func(parallel bool) (*Engine, func() string) { // four-cycle windows of one round
 			e, a, b := buildPingPong(4, 0, parallel)
 			return e, func() string { return receipts(a, b) }
 		},
 		func(parallel bool) (*Engine, func() string) { // per-shard rounds
-			e, ps := buildTriangle(0, parallel, true)
+			e, ps := buildTriangle(0, parallel)
 			e.SetMaxPartitions(2)
 			return e, func() string { return receipts(ps[:]...) }
-		},
-		func(parallel bool) (*Engine, func() string) { // classic three-phase cycles
-			e := NewEngine()
-			e.SetParallel(parallel)
-			e.SetMaxPartitions(2)
-			port := NewPort[uint64](0)
-			e.AddPartition(&portSender{id: 1, port: port})
-			e.AddPartition(&portSender{id: 2, port: port})
-			e.AddPort(port)
-			return e, func() string { return fmt.Sprint(port.DrainInto(nil, 0)) }
 		},
 	}
 	run := func(i int, parallel bool) (string, error) {
@@ -386,7 +380,7 @@ func (b *burster) Quiescent(now uint64) (bool, uint64) {
 
 // TestHandoffFollowsWork: two shards of bursters wake mid-run, so the
 // engine's work per dispatch rises past handoffWork and falls back. Under
-// every advance path (classic cycles, one-cycle and four-cycle epochs,
+// every window shape (one-cycle windows, four-cycle windows of one round,
 // per-shard rounds) the run hands the heavy dispatches to the workers and
 // runs the light ones inline, and matches the serial run bit for bit:
 // pinger receipts, burster sums and per-shard tick counts.
@@ -395,16 +389,7 @@ func TestHandoffFollowsWork(t *testing.T) {
 	const cycles = 400
 	const perShard = handoffWork // two shards of them: twice the threshold
 	build := func(lat [3]uint64, parallel bool) (*Engine, func() string) {
-		var e *Engine
-		var ps []*pinger
-		if lat[0] == 0 { // no cross ports: the classic three-phase cycle
-			e = NewEngine()
-			e.SetParallel(parallel)
-		} else {
-			var tri [3]*pinger
-			e, tri = buildTriangleLat(lat, 0, parallel, true)
-			ps = tri[:]
-		}
+		e, ps := buildTriangleLat(lat, 0, parallel)
 		e.SetMaxPartitions(2)
 		var bs []*burster
 		for s := 0; s < 2; s++ {
@@ -424,10 +409,10 @@ func TestHandoffFollowsWork(t *testing.T) {
 			for _, l := range e.LoadReport() {
 				ticks = append(ticks, l.Ticks)
 			}
-			return fmt.Sprint(receipts(ps...), sums, ticks)
+			return fmt.Sprint(receipts(ps[:]...), sums, ticks)
 		}
 	}
-	for _, lat := range [][3]uint64{{0, 0, 0}, {1, 1, 1}, {4, 4, 4}, {8, 2, 1}} {
+	for _, lat := range [][3]uint64{{1, 1, 1}, {4, 4, 4}, {8, 2, 1}} {
 		run := func(parallel bool) (string, *Engine) {
 			e, result := build(lat, parallel)
 			if _, err := e.Run(cycles, nil); !errors.Is(err, ErrBudget) {

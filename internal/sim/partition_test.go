@@ -9,20 +9,25 @@ import (
 // accrues essentially no ticks.
 type sleeperTicker struct{}
 
-func (sleeperTicker) Tick(uint64)                     {}
-func (sleeperTicker) Commit(uint64)                   {}
-func (sleeperTicker) Quiescent(uint64) (bool, uint64) { return true, 0 }
+func (*sleeperTicker) Tick(uint64)                     {}
+func (*sleeperTicker) Commit(uint64)                   {}
+func (*sleeperTicker) Quiescent(uint64) (bool, uint64) { return true, WakeNever }
 
 // TestAssignIsolatesHeavyShard: LPT assignment must put a shard that
 // dominates the load estimate on its own partition.
 func TestAssignIsolatesHeavyShard(t *testing.T) {
 	e := NewEngine()
-	for i := 0; i < 5; i++ {
+	// Before any cycle runs there are no tick counts, so the estimate
+	// falls back to the component count: shard 0 holds eight, the others
+	// one each.
+	group := make([]Ticker, 8)
+	for i := range group {
+		group[i] = &counterTicker{}
+	}
+	e.AddShard("", group...)
+	for i := 0; i < 4; i++ {
 		e.AddShard("", &counterTicker{})
 	}
-	// Before any cycle runs there are no tick counts, so the estimate
-	// falls back to the static weight hint.
-	e.SetShardWeight(0, 100)
 	e.SetParallel(true)
 	e.SetMaxPartitions(2)
 	if got := e.Partitions(); got != 2 {
@@ -41,18 +46,22 @@ func TestAssignIsolatesHeavyShard(t *testing.T) {
 }
 
 // TestRepartitionFollowsMeasuredLoad: after running, the assignment must be
-// driven by per-shard tick counts, not the initial weights. Shard 0 claims
-// a huge static weight but quiesces immediately; shard 1 ticks every cycle.
-// A repartition mid-run must not leave the busy shards packed together.
+// driven by per-shard tick counts, not the initial component counts. Shard
+// 0 holds the most components but they all quiesce after one cycle; the
+// three busy shards tick every cycle. A repartition mid-run must not leave
+// the busy shards packed together.
 func TestRepartitionFollowsMeasuredLoad(t *testing.T) {
 	e := NewEngine()
-	e.AddShard("idle", &sleeperTicker{})
+	idle := make([]Ticker, 8) // stale estimate: the idle shard looks heaviest
+	for i := range idle {
+		idle[i] = &sleeperTicker{}
+	}
+	e.AddShard("idle", idle...)
 	busy := make([]*counterTicker, 3)
 	for i := range busy {
 		busy[i] = &counterTicker{}
 		e.AddShard("", busy[i])
 	}
-	e.SetShardWeight(0, 1_000_000) // stale hint: the idle shard looks heaviest
 	e.SetParallel(true)
 	e.SetMaxPartitions(2)
 	e.SetRepartition(16)
@@ -62,7 +71,7 @@ func TestRepartitionFollowsMeasuredLoad(t *testing.T) {
 	load := e.LoadReport()
 	// The three busy shards accrued equal ticks; after repartitioning on
 	// measured load they must span both partitions rather than all hiding
-	// from the stale-weight shard on one.
+	// from the idle shard on one.
 	parts := map[int]bool{}
 	for _, row := range load[1:] {
 		parts[row.Partition] = true

@@ -15,29 +15,27 @@ import (
 // parallel executor: goroutine interleaving can change the order in which
 // Send is called, but never the committed order.
 //
-// Locking contract: a port's producers and its owner normally run on one
-// goroutine, the owning shard's (within a shard; DESIGN.md §12), so
-// staging takes no lock. The exceptions are ports whose producers may
-// stage from two goroutines within one dispatch: every cross-shard port,
-// and the plain ports of a wiring without cross ports while the parallel
-// executor's workers run. The engine marks those shared, and only their
-// staging goes under the mutex. Commit and Seal run when no producer can
-// stage (the engine's phase and epoch barriers order them), so they take
-// no lock. The visible queue is owner-only state — read and written
-// exclusively by the owning shard's goroutine (Tick consumption and port
-// commit both run there) or by harness code between runs. Queue accessors
-// (Peek, Pop, DrainInto, ...) therefore take no lock; a component must
-// never touch another component's port queue.
+// Locking contract: a plain port's producers and its owner run in one
+// shard (components in different shards interact only through cross-shard
+// ports; DESIGN.md §12), so on one goroutine, and its staging takes no
+// lock. A cross-shard port's producers sit in other shards and may stage
+// from two goroutines within one dispatch, so its staging goes under the
+// mutex. Commit and Seal run when no producer can stage (the engine's
+// round barriers order them), so they take no lock. The visible queue is
+// owner-only state — read and written exclusively by the owning shard's
+// goroutine (Tick consumption and port commit both run there) or by
+// harness code between runs. Queue accessors (Peek, Pop, DrainInto, ...)
+// therefore take no lock; a component must never touch another
+// component's port queue.
 //
 // Cross-shard ports (Engine.AddCrossPortFor) additionally declare a minimum
 // delivery latency. Producers stamp sends with the current cycle (SendFrom);
-// the engine seals staged envelopes into a future list at epoch barriers and
-// releases each on the exact cycle its timestamp dictates, which is what
-// lets partitions run multiple cycles between barriers without changing the
-// simulated history. See DESIGN.md §12 for the lookahead contract.
+// the engine seals staged envelopes into a future list at round barriers
+// and releases each on the exact cycle its timestamp dictates, which is
+// what lets shards run multiple cycles between barriers without changing
+// the simulated history. See DESIGN.md §12 for the lookahead contract.
 type Port[T any] struct {
-	mu     sync.Mutex // guards staged and dirty while shared is set
-	shared bool       // producers may stage from two goroutines at once
+	mu     sync.Mutex // guards staged and dirty on a cross-shard port
 	staged []envelope[T]
 	queue  []T
 	cap    int // 0 = unbounded
@@ -46,7 +44,7 @@ type Port[T any] struct {
 	future []envelope[T]
 	// nextDue caches future[0].at (WakeNever when future is empty) so the
 	// owner's per-cycle release check is one plain load. Written at seals
-	// and releases, both ordered against readers by the epoch barriers.
+	// and releases, both ordered against readers by the round barriers.
 	nextDue uint64
 	lat     uint64 // declared MinLatency; 0 means the default of 1
 	cross   bool   // registered as a cross-shard port: Send must carry a cycle
@@ -99,10 +97,6 @@ func (p *Port[T]) SetOnDirty(f func()) {
 	}
 }
 
-// setShared marks whether producers may stage from two goroutines within
-// one dispatch (see the locking contract). The engine sets it between runs.
-func (p *Port[T]) setShared(on bool) { p.shared = on }
-
 // SetMinLatency declares the minimum delivery latency of the port: a
 // message sent (SendFrom) at cycle t becomes visible at t+lat, never
 // earlier. The default (0) means 1, the classic next-cycle delivery. The
@@ -121,15 +115,15 @@ func (p *Port[T]) MinLatency() uint64 {
 }
 
 // markCross flags the port as cross-shard registered: producers must use
-// SendFrom (the engine needs send cycles to buffer deliveries across epoch
-// barriers), and the port must be unbounded — occupancy-based flow control
-// would make producers read the consumer's mid-epoch state.
+// SendFrom (the engine needs send cycles to buffer deliveries across round
+// barriers) and stage under the lock, and the port must be unbounded —
+// occupancy-based flow control would make producers read the consumer's
+// mid-window state.
 func (p *Port[T]) markCross() {
 	if p.cap > 0 {
 		panic("sim: cross-shard port must be unbounded (flow control reads the consumer's queue)")
 	}
 	p.cross = true
-	p.shared = true
 }
 
 // Send stages msg for delivery at the end of the current cycle. key orders
@@ -151,13 +145,13 @@ func (p *Port[T]) SendFrom(key, seq, now uint64, msg T) {
 }
 
 func (p *Port[T]) stage(env envelope[T]) {
-	if p.shared {
+	if p.cross {
 		p.mu.Lock()
 	}
 	p.staged = append(p.staged, env)
 	first := !p.dirty
 	p.dirty = true
-	if p.shared {
+	if p.cross {
 		p.mu.Unlock()
 	}
 	if first && p.onDirty != nil {
@@ -189,10 +183,6 @@ func (p *Port[T]) CanAcceptFrom(key uint64, n int) bool {
 	room := p.cap - int(p.visLen.Load()) - n
 	if room < 0 {
 		return false
-	}
-	if p.shared {
-		p.mu.Lock()
-		defer p.mu.Unlock()
 	}
 	own := 0
 	for i := range p.staged {
@@ -239,12 +229,12 @@ func (p *Port[T]) Commit(now uint64) {
 }
 
 // Seal moves the staged envelopes into the future list, ordered by
-// (at, key, seq). The engine calls it for dirty cross-shard ports at epoch
+// (at, key, seq). The engine calls it for dirty cross-shard ports at round
 // barriers, when no producer is mid-tick; releases then happen on the exact
 // cycle each timestamp dictates (ReleaseDue). Envelopes with equal at always
 // come from one send cycle (the port's latency is fixed), so the (key, seq)
 // order within a release batch is the same order a per-cycle commit would
-// have produced — this is what keeps multi-cycle epochs bit-identical.
+// have produced — this is what keeps multi-cycle windows bit-identical.
 func (p *Port[T]) Seal(uint64) {
 	if !p.dirty {
 		return

@@ -78,7 +78,7 @@ func (e *Engine) LoadReport() []ShardLoad {
 // Profile accumulates per-shard phase timings. Install with
 // Engine.SetProfile before running; read with Partitions or String after.
 // Each shard's slot is written only by the goroutine of the partition that
-// currently owns the shard (phase barriers order writes across
+// currently owns the shard (round barriers order writes across
 // reassignments), so the parallel executor profiles without locks.
 type Profile struct {
 	eng   *Engine
@@ -141,16 +141,6 @@ func (p *Profile) Partitions() []PartitionProfile {
 		out[si] = pp
 	}
 	return out
-}
-
-// LabelPartition names a shard in reports (e.g. "sub3", "uncore"); the
-// index is the shard id. Call after Engine.SetProfile. Shards registered
-// through AddShard already carry their label; this override exists for
-// AddPartition-era callers.
-func (p *Profile) LabelPartition(si int, label string) {
-	if p.eng != nil && si >= 0 && si < len(p.eng.shards) {
-		p.eng.shards[si].label = label
-	}
 }
 
 // String renders the attribution as an aligned text report: one line per

@@ -95,9 +95,10 @@ func (p *panicTicker) String() string { return p.name }
 
 // TestParallelPanicSurfacesAsError: a component panic under the parallel
 // executor becomes Run's error, naming the component and the exact cycle
-// it was executing — on the classic three-phase cycle, inside a fused
-// epoch, and inside a per-shard round, in a dispatch handed to the
-// workers and in one run inline — and Run stops within one window.
+// it was executing — on a wiring without cross ports (one-cycle windows),
+// inside a four-cycle window of one round, and inside a per-shard round,
+// in a dispatch handed to the workers and in one run inline — and Run
+// stops within one window.
 func TestParallelPanicSurfacesAsError(t *testing.T) {
 	setProcs(t, 2)
 	for _, tc := range []struct {
@@ -109,8 +110,8 @@ func TestParallelPanicSurfacesAsError(t *testing.T) {
 			e := NewEngine()
 			e.SetParallel(true)
 			e.SetMaxPartitions(2)
-			e.AddPartition(&panicTicker{name: "core7", at: 10})
-			e.AddPartition(idleTicker{})
+			e.AddShard("", &panicTicker{name: "core7", at: 10})
+			e.AddShard("", idleTicker{})
 			return e
 		}, 1},
 		{"fused-epoch", func() *Engine {
@@ -119,7 +120,7 @@ func TestParallelPanicSurfacesAsError(t *testing.T) {
 			return e
 		}, 4},
 		{"per-shard-rounds", func() *Engine {
-			e, _ := buildTriangle(0, true, true)
+			e, _ := buildTriangle(0, true)
 			e.Add(&panicTicker{name: "core7", at: 10})
 			return e
 		}, 8},

@@ -42,8 +42,8 @@ func (r *RNG) Restore(d *snapshot.Decoder) { r.state = d.U64() }
 
 // SavePort serializes a port's visible queue and, for cross-shard ports,
 // the sealed future entries still waiting for their release cycle (legal
-// state at an epoch barrier). It panics if the port holds staged
-// (uncommitted) messages: checkpoints are only legal at epoch boundaries,
+// state at a window barrier). It panics if the port holds staged
+// (uncommitted) messages: checkpoints are only legal at window boundaries,
 // where every barrier has sealed and nothing is mid-flight unstamped.
 func SavePort[T any](e *snapshot.Encoder, p *Port[T], save func(*snapshot.Encoder, T)) {
 	if len(p.staged) > 0 || p.dirty {

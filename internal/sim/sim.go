@@ -1,14 +1,25 @@
 // Package sim provides the deterministic cycle-level simulation kernel that
 // every SmarCo component is built on.
 //
-// The engine advances a single global cycle counter. Each cycle has three
-// phases: every active component's Tick is called (compute phase: read state
-// that was committed at the end of the previous cycle, stage new outputs),
-// dirty ports are committed (staged messages become visible in deterministic
-// order), then every active component's Commit is called. Because Tick never
-// observes another component's same-cycle writes, the order in which
-// components are ticked does not affect results, which is what makes both
-// the serial and the parallel executors produce identical histories.
+// Within a shard (see below), each cycle has three phases: every active
+// component's Tick is called (compute phase: read state that was committed
+// at the end of the previous cycle, stage new outputs), dirty ports are
+// committed (staged messages become visible in deterministic order), then
+// every active component's Commit is called. Because Tick never observes
+// another component's same-cycle writes, the order in which components are
+// ticked does not affect results.
+//
+// Components in different shards interact only through cross-shard ports
+// (AddCrossPortFor), which declare a minimum delivery latency. That
+// latency is each shard's window: the cycles it may run ahead of its
+// producers. The engine advances in windows of min-clock rounds (DESIGN.md
+// §12 and §14): in each round, every shard whose clock is the lowest runs
+// its next block of cycles, and the round ends by sealing the cross-shard
+// sends it staged. A window every shard's block spans is a single round,
+// and a single cycle (Step, or a wiring without cross ports) is a
+// one-cycle window. Deliveries are released on the exact cycle their
+// timestamp dictates, so serial and parallel execution produce identical
+// histories.
 //
 // Components may implement Quiescer to be skipped while idle: a quiescent
 // component is removed from its shard's active list and re-armed by a
@@ -29,11 +40,11 @@
 // ("Load-balanced partitioning") for the contract.
 //
 // The parallel executor reproduces the conservative synchronous PDES scheme
-// the paper's simulation framework uses: partitions run concurrently, and
-// a barrier after every cycle (or every multi-cycle epoch, DESIGN.md §12)
-// provides the lookahead that makes the synchronization safe. Ports are
-// committed by the partition that currently owns the receiving component's
-// shard, so commit work parallelizes with the rest of the cycle.
+// the paper's simulation framework uses: partitions run a round's blocks
+// concurrently, and the barrier after each round provides the lookahead
+// that makes the synchronization safe. Ports are committed by the
+// partition that currently owns the receiving component's shard, so commit
+// work parallelizes with the rest of the round.
 package sim
 
 import (
@@ -41,6 +52,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -143,7 +155,7 @@ type deliverNotifier interface {
 
 // CrossPort is the engine-facing interface of a cross-shard port: a *Port
 // registered with AddCrossPortFor. Cross-shard ports declare a minimum
-// delivery latency and buffer sends across epoch barriers (Seal), releasing
+// delivery latency and buffer sends across round barriers (Seal), releasing
 // each message on the exact cycle its timestamp dictates (ReleaseDue) — the
 // mechanism behind conservative multi-cycle lookahead. The unexported
 // method restricts implementations to this package's Port.
@@ -161,10 +173,9 @@ type CrossPort interface {
 // on the clean→dirty transition (the first Send of a cycle), which enqueues
 // the port on its owning shard's commit list. The port-commit phase then
 // visits only ports that were actually sent to, instead of every registered
-// port. setShared makes the port lock its staging (see Engine.setShared).
+// port.
 type dirtyNotifier interface {
 	SetOnDirty(func())
-	setShared(bool)
 }
 
 // compState tracks one registered component. woken marks a component
@@ -193,34 +204,29 @@ type shard struct {
 	timers timerHeap
 	// ports holds registered committers that do not support the dirty-queue
 	// protocol (anything that is not a *Port); they are committed every
-	// cycle. *Port registrations (plain) instead self-enqueue on dirtyPorts
-	// via their onDirty hook, so clean ports cost nothing per cycle.
-	// dirtyPorts is appended by the goroutine that sends and drained by
-	// portPhase; dirtyMu guards the appends only while shared is set (see
-	// Engine.setShared), because otherwise every sender runs on the
-	// goroutine executing this shard.
+	// cycle. *Port registrations instead self-enqueue on dirtyPorts via
+	// their onDirty hook, so clean ports cost nothing per cycle. dirtyPorts
+	// is appended by the goroutine that sends, which is the one executing
+	// this shard (a plain port's producers share its owner's shard), and
+	// drained by portPhase, so it takes no lock.
 	ports      []committer
-	plain      []dirtyNotifier
 	dirtyPorts []committer
-	dirtyMu    sync.Mutex
-	shared     bool
 	asleep     int    // number of comps with asleep set
 	cur        Ticker // component under execution, for panic diagnostics
 	at         uint64 // cycle under execution (set by tickPhase), likewise
 
 	// workAt is the first cycle at which the shard next has work: 0 (at
 	// once) while a component is active or woken or a port is dirty,
-	// otherwise the earlier of its timer heap's head and crossDue. The
-	// fused-epoch and per-shard-round paths skip every phase of the shard
-	// before it (runCycles). Wakes, dirtied ports and seals lower it; Run
-	// and Step reset it to 0 on entry, because host code may change state
-	// between calls.
+	// otherwise the earlier of its timer heap's head and crossDue. A round
+	// skips every phase of the shard before it (runCycles). Wakes, dirtied
+	// ports and seals lower it; Run and Step reset it to 0 on entry,
+	// because host code may change state between calls.
 	workAt uint64
 
 	// crossIn holds the cross-shard ports owned by this shard's components.
 	// The shard releases their due deliveries each port phase (sealed
-	// entries from earlier epochs whose cycle has arrived); the engine
-	// seals freshly staged entries at epoch barriers. crossDue is a lower
+	// entries from earlier rounds whose cycle has arrived); the engine
+	// seals freshly staged entries at round barriers. crossDue is a lower
 	// bound on their earliest NextDue (WakeNever when none holds an
 	// entry): a seal lowers it and each release scan recomputes it, so a
 	// shard whose ports hold nothing due skips the scan.
@@ -238,17 +244,14 @@ type shard struct {
 
 	// Deterministic load estimate: ticks accumulates the number of
 	// component Ticks this shard has executed (a pure function of the
-	// simulated history, identical across executors); weight is the static
-	// pre-run hint used before any cycle has run; lastTicks marks the start
-	// of the current repartition window.
+	// simulated history, identical across executors); lastTicks marks the
+	// start of the current repartition window.
 	ticks     uint64
-	weight    uint64
 	lastTicks uint64
 
-	// blocks counts the fused multi-cycle blocks this shard has executed
-	// (whole epochs under the global-min scheme, per-shard blocks under
-	// per-shard windows; single-cycle epochs do not count). A wall-time
-	// diagnostic like Epochs: never part of the simulated history, never
+	// blocks counts the blocks this shard has executed in multi-cycle
+	// windows (one-cycle windows do not count). A wall-time diagnostic
+	// like Epochs: never part of the simulated history, never
 	// checkpointed.
 	blocks uint64
 
@@ -263,16 +266,10 @@ type shard struct {
 }
 
 // markDirty enqueues a port for commit at this shard's next port phase
-// and wakes the shard. Called on the goroutine that Sends (phase barriers
-// keep it out of portPhase itself); under the lock only while shared.
+// and wakes the shard. Called on the goroutine executing the shard (a
+// Send from one of its components) or by host code between runs.
 func (sh *shard) markDirty(pt committer) {
-	if sh.shared {
-		sh.dirtyMu.Lock()
-		sh.dirtyPorts = append(sh.dirtyPorts, pt)
-		sh.dirtyMu.Unlock()
-	} else {
-		sh.dirtyPorts = append(sh.dirtyPorts, pt)
-	}
+	sh.dirtyPorts = append(sh.dirtyPorts, pt)
 	sh.workAt = 0
 }
 
@@ -315,7 +312,7 @@ type Engine struct {
 	// Watchdog state. stuckSince is the first cycle of the current
 	// zero-progress streak (0 = not stuck): counting in simulated cycles
 	// instead of check intervals keeps the firing cycle independent of the
-	// epoch length.
+	// window length.
 	watchEvery uint64
 	reporters  []ProgressReporter
 	lastSum    uint64
@@ -324,9 +321,9 @@ type Engine struct {
 
 	// Conservative lookahead state. crossPorts lists every registered
 	// cross-shard port; dirtyCross queues the indices of the ones sent to
-	// since the last barrier (self-enqueued via their onDirty hook) for
-	// sealing. lookahead is the configured epoch cap (0 = auto); epochs
-	// counts completed multi-cycle epochs for observability.
+	// since the last seal (self-enqueued via their onDirty hook) for
+	// sealing. lookahead is the configured window cap (0 = auto); epochs
+	// counts completed multi-cycle windows for observability.
 	crossPorts []CrossPort
 	crossOwner []*shard // the shard owning each crossPorts entry
 	sinkPorts  []committer
@@ -334,20 +331,20 @@ type Engine struct {
 	dirtyCross []int32
 	lookahead  uint64
 	epochs     uint64
-	epochN     uint64 // cycles in the epoch being dispatched
 
-	// Per-shard window state (DESIGN.md §14). perShardOff disables the
-	// per-shard executor (the zero value keeps it on); shardWins and
-	// winClocks are scratch slices indexed by shard id — the effective
-	// fused-block window of each shard for the current Run, and each
-	// shard's clock within the window being advanced. roundClock/roundEnd
-	// publish the current min-clock round to the partitions (written by
-	// the coordinator before dispatch, like epochN).
-	perShardOff bool
-	shardWins   []uint64
-	winClocks   []uint64
-	roundClock  uint64
-	roundEnd    uint64
+	// Window state (DESIGN.md §14). shardWins holds each shard's effective
+	// window for the current Run, indexed by shard id, and minWin the
+	// narrowest of them (at least 1). roundClock and roundEnd bound the
+	// round being dispatched; clocks holds each shard's clock within a
+	// window of several rounds, and is nil in a window of one round, where
+	// every shard's block spans the whole window. The coordinator writes
+	// all of it before a dispatch; winClocks backs clocks.
+	shardWins  []uint64
+	minWin     uint64
+	winClocks  []uint64
+	clocks     []uint64
+	roundClock uint64
+	roundEnd   uint64
 
 	// First panic recovered from a partition phase. errCount mirrors
 	// len(errs) so the per-cycle Err poll is one atomic load.
@@ -357,17 +354,18 @@ type Engine struct {
 
 	// Dispatch barrier (DESIGN.md §7). While workers run (parallel mode
 	// inside Run), partition 0 executes on the coordinating goroutine and
-	// workers[i] executes partition i+1. The coordinator publishes op and
-	// the round/epoch bounds, sets pending, and bumps gen; each worker runs
-	// its partition and decrements pending. Both sides wait with parkers.
-	op      uint8
+	// workers[i] executes partition i+1. The coordinator publishes the
+	// round (or stop), sets pending, and bumps gen; each worker runs its
+	// partition's share of the round and decrements pending. Both sides
+	// wait with parkers.
+	stop    bool
 	gen     atomic.Uint64
 	pending atomic.Int32
 	workers []*parker // nil when no workers run
 	coord   parker
 	wg      sync.WaitGroup
 
-	// handoffMin is the estimated work (component ticks, see opWork) from
+	// handoffMin is the estimated work (component ticks, see roundWork) from
 	// which a dispatch is handed to the workers; lighter ones run inline.
 	// handoffWork unless a test lowers it to hand off every dispatch.
 	// dispatched counts the dispatches made while workers ran and handoffs
@@ -387,8 +385,8 @@ type Engine struct {
 // until a trace is wired in; see Trace.Emit.
 type TraceFn func(cat, name string, cycle uint64)
 
-// partitionErr records a panic recovered in one partition's op, with the
-// cycle the failing shard was executing.
+// partitionErr records a panic recovered in one partition's round, with
+// the cycle the failing shard was executing.
 type partitionErr struct {
 	partition int
 	cycle     uint64
@@ -398,7 +396,7 @@ type partitionErr struct {
 
 // NewEngine returns an empty serial engine.
 func NewEngine() *Engine {
-	return &Engine{owners: map[Ticker]*compState{}, handoffMin: handoffWork}
+	return &Engine{owners: map[Ticker]*compState{}, minWin: 1, handoffMin: handoffWork}
 }
 
 // SetParallel switches the engine between the serial executor and the
@@ -431,9 +429,10 @@ func (e *Engine) SetRepartition(every uint64) { e.repartEvery = every }
 
 // AddShard registers a named group of components that always execute
 // together — the atomic unit of load balancing — and returns its shard id.
-// Components that communicate combinationally (within the same cycle) must
-// share a shard only if they also share staged state; port-based
-// communication is always safe across shards.
+// Components in different shards must interact only through cross-shard
+// ports (AddCrossPortFor): a shard runs its cycles without waiting for the
+// others, so a plain port, or state read directly, must stay within one
+// shard.
 func (e *Engine) AddShard(label string, components ...Ticker) int {
 	sh := &shard{id: len(e.shards), label: label, crossDue: WakeNever}
 	if sh.label == "" {
@@ -445,30 +444,12 @@ func (e *Engine) AddShard(label string, components ...Ticker) int {
 	return sh.id
 }
 
-// AddPartition registers a group of components that may be ticked on its
-// own goroutine in parallel mode. It is AddShard without a label, kept for
-// harnesses that predate load-balanced partitioning.
-func (e *Engine) AddPartition(components ...Ticker) {
-	e.AddShard("", components...)
-}
-
 // Add registers components into the default (first) shard.
 func (e *Engine) Add(components ...Ticker) {
 	if len(e.shards) == 0 {
 		e.AddShard("")
 	}
 	e.addToShard(e.shards[0], components...)
-}
-
-// SetShardWeight sets a shard's static load hint, used to balance the
-// initial assignment before any cycle has run (after the first cycles the
-// measured tick counts take over). The default weight is the shard's
-// component count.
-func (e *Engine) SetShardWeight(id int, weight uint64) {
-	if id >= 0 && id < len(e.shards) {
-		e.shards[id].weight = weight
-		e.invalidateParts()
-	}
 }
 
 func (e *Engine) addToShard(sh *shard, components ...Ticker) {
@@ -496,9 +477,9 @@ func comparableTicker(t Ticker) bool {
 	return t != nil && reflect.TypeOf(t).Comparable()
 }
 
-// AddPort registers a port with no owning component: it is flushed between
-// the tick and commit phases but delivers no wake-up. Use AddPortFor for
-// ports feeding a component that quiesces.
+// AddPort registers a port with no owning component in the default (first)
+// shard: it is flushed between the tick and commit phases but delivers no
+// wake-up. Use AddPortFor for ports feeding a component that quiesces.
 func (e *Engine) AddPort(p committer) {
 	if len(e.shards) == 0 {
 		e.AddShard("")
@@ -511,7 +492,6 @@ func (e *Engine) AddPort(p committer) {
 func registerPort(sh *shard, p committer) {
 	if dn, ok := p.(dirtyNotifier); ok {
 		dn.SetOnDirty(func() { sh.markDirty(p) })
-		sh.plain = append(sh.plain, dn)
 		return
 	}
 	sh.ports = append(sh.ports, p)
@@ -554,11 +534,11 @@ func (e *Engine) AddPortFor(owner Ticker, ports ...interface{ Commit(now uint64)
 // AddCrossPortFor registers input ports of owner whose producers live in a
 // different shard. A cross-shard port must declare its link's minimum
 // delivery latency (Port.SetMinLatency) and be sent to with SendFrom; the
-// engine's safe epoch length (conservative lookahead) is the minimum
-// declared latency over all cross-shard ports. Deliveries are buffered at
-// epoch barriers and released on the exact cycle their timestamp dictates,
-// so the simulated history is bit-identical to single-cycle execution.
-// Unlike AddPortFor, the owner must be a registered component.
+// owner's shard window (its conservative lookahead) is the minimum declared
+// latency over its shard's cross-shard ports. Deliveries are sealed at the
+// end of each round and released on the exact cycle their timestamp
+// dictates, so the simulated history is bit-identical to single-cycle
+// execution. Unlike AddPortFor, the owner must be a registered component.
 func (e *Engine) AddCrossPortFor(owner Ticker, ports ...CrossPort) {
 	var cs *compState
 	if comparableTicker(owner) {
@@ -584,8 +564,8 @@ func (e *Engine) AddCrossPortFor(owner Ticker, ports ...CrossPort) {
 	}
 }
 
-// markCrossDirty queues cross-shard port idx for sealing at the next epoch
-// barrier. Fired at most once per port per epoch (the port's dirty CAS).
+// markCrossDirty queues cross-shard port idx for sealing at the end of the
+// round. Fired at most once per port per round (the port's dirty flag).
 func (e *Engine) markCrossDirty(idx int32) {
 	e.crossMu.Lock()
 	e.dirtyCross = append(e.dirtyCross, idx)
@@ -593,28 +573,27 @@ func (e *Engine) markCrossDirty(idx int32) {
 }
 
 // AddSinkPort registers a port consumed outside the simulated component
-// graph (a host-side collector). Sink ports are committed at epoch
-// barriers only, so with lookahead > 1 the host observes deliveries
-// quantized to barriers — harness code that reads them between Run calls
-// sees the same history either way.
+// graph (a host-side collector). Sink ports are committed at window
+// barriers only, so with windows longer than a cycle the host observes
+// deliveries quantized to barriers — harness code that reads them between
+// Run calls sees the same history either way.
 func (e *Engine) AddSinkPort(p committer) {
 	e.sinkPorts = append(e.sinkPorts, p)
 }
 
-// SetLookahead caps the epoch length: the number of cycles every partition
-// runs between barriers. 0 (the default) selects the maximum safe value —
-// the minimum declared MinLatency over all cross-shard ports; explicit
-// values are clamped to that bound, so lookahead can only be lowered (1
-// runs one-cycle epochs, a barrier every cycle). Results are
-// bit-identical for every setting.
+// SetLookahead caps every shard's window: the number of cycles a shard
+// runs between synchronizations. 0 (the default) leaves each shard its
+// full safe window — the minimum declared MinLatency over its cross-shard
+// input ports; explicit values can only lower it (1 runs one-cycle
+// windows, a barrier every cycle). Results are bit-identical for every
+// setting.
 func (e *Engine) SetLookahead(n uint64) { e.lookahead = n }
 
-// autoLookahead returns the maximum safe engine-wide epoch length: the
-// minimum declared delivery latency over all cross-shard ports (1 when
-// none are registered). On uniform-latency wirings it coincides with the
-// done grid (doneGrid); heterogeneous wirings split the two — epochs stay
-// bounded by the narrowest link while the grid follows the widest shard
-// window.
+// autoLookahead returns the narrowest uncapped window: the minimum
+// declared delivery latency over all cross-shard ports (1 when none are
+// registered). On uniform-latency wirings it coincides with the done grid
+// (doneGrid); heterogeneous wirings split the two — the narrowest link
+// bounds this while the grid follows the widest shard window.
 func (e *Engine) autoLookahead() uint64 {
 	la := uint64(1)
 	for i, cp := range e.crossPorts {
@@ -625,7 +604,8 @@ func (e *Engine) autoLookahead() uint64 {
 	return la
 }
 
-// Lookahead returns the effective epoch length the engine runs with.
+// Lookahead returns the narrowest effective shard window: the engine-wide
+// minimum, capped by SetLookahead.
 func (e *Engine) Lookahead() uint64 {
 	la := e.autoLookahead()
 	if e.lookahead > 0 && e.lookahead < la {
@@ -634,28 +614,10 @@ func (e *Engine) Lookahead() uint64 {
 	return la
 }
 
-// Epochs returns the number of completed multi-cycle epochs (single-cycle
-// steps are not counted, fused or classic). Under per-shard windows one
-// "epoch" is one grid window; the per-shard block counts are in
+// Epochs returns the number of completed multi-cycle windows (one-cycle
+// windows are not counted); the per-shard block counts are in
 // WindowReport.
 func (e *Engine) Epochs() uint64 { return e.epochs }
-
-// SetPerShardWindows toggles per-shard fused-block windows inside Run
-// (on by default): with heterogeneous cross-port latencies every shard
-// fuses up to its own safe window — the minimum declared latency over its
-// incoming cross ports — instead of the engine-wide minimum, so a shard
-// fed only by latency-8 links runs 8-cycle blocks next to a latency-1
-// neighbor stepping cycle by cycle. Purely an executor choice: simulated
-// histories, stop cycles, and the done/watchdog grid are bit-identical
-// either way. Off restores the global-min epoch scheme (DESIGN.md §12);
-// uniform-latency wirings use that scheme regardless, because every
-// per-shard window already equals the global minimum.
-func (e *Engine) SetPerShardWindows(on bool) { e.perShardOff = !on }
-
-// PerShardWindows reports whether per-shard fused-block windows are
-// enabled (they still only engage when the wiring makes some shard's
-// window exceed the global minimum).
-func (e *Engine) PerShardWindows() bool { return !e.perShardOff }
 
 // shardBaseWindow is the shard's wiring-determined safe block length: the
 // minimum declared delivery latency over its incoming cross-shard ports,
@@ -674,11 +636,10 @@ func shardBaseWindow(sh *shard) uint64 {
 // doneGrid returns the pitch of the absolute cycle grid on which Run
 // evaluates the done condition and the watchdog: the maximum per-shard
 // base window (1 when no cross ports are registered). Like autoLookahead
-// it is a pure function of the wiring — independent of SetLookahead and
-// of the per-shard toggle — so stop cycles are identical across every
-// executor setting; on uniform-latency wirings it equals autoLookahead,
-// preserving the historical grid. It is also the window pitch of
-// per-shard execution: all shard clocks realign at grid multiples.
+// it is a pure function of the wiring — independent of SetLookahead — so
+// stop cycles are identical across every executor setting; on
+// uniform-latency wirings it equals autoLookahead. Every grid multiple
+// ends a window, where all shard clocks meet.
 func (e *Engine) doneGrid() uint64 {
 	g := uint64(1)
 	for _, sh := range e.shards {
@@ -689,18 +650,18 @@ func (e *Engine) doneGrid() uint64 {
 	return g
 }
 
-// shardWindows fills e.shardWins with each shard's effective fused-block
-// window — the base window clamped by the SetLookahead override, shards
-// without cross inputs bounded by the grid — and returns the slice along
-// with the largest window. Per-shard execution pays off exactly when
-// maxWin exceeds the global-min window.
+// shardWindows fills e.shardWins with each shard's effective window — the
+// base window clamped by the SetLookahead override, shards without cross
+// inputs bounded by the grid — and e.minWin with the narrowest, and
+// returns the slice along with the widest window, which is Run's window
+// length.
 func (e *Engine) shardWindows(grid uint64) (wins []uint64, maxWin uint64) {
 	if cap(e.shardWins) < len(e.shards) {
 		e.shardWins = make([]uint64, len(e.shards))
 	}
 	wins = e.shardWins[:len(e.shards)]
 	e.shardWins = wins
-	maxWin = 1
+	maxWin, e.minWin = 1, grid
 	for i, sh := range e.shards {
 		w := shardBaseWindow(sh)
 		if w == 0 || w > grid {
@@ -710,18 +671,17 @@ func (e *Engine) shardWindows(grid uint64) (wins []uint64, maxWin uint64) {
 			w = e.lookahead
 		}
 		wins[i] = w
-		if w > maxWin {
-			maxWin = w
-		}
+		maxWin = max(maxWin, w)
+		e.minWin = min(e.minWin, w)
 	}
 	return wins, maxWin
 }
 
-// ShardWindow describes one shard's fused-block window: Window is the
-// safe block length the shard may run between synchronizations (min
-// incoming cross-port latency, clamped by SetLookahead and the done
-// grid), and Blocks counts the fused blocks it has executed — a
-// wall-time diagnostic, 0 under cycle-by-cycle execution.
+// ShardWindow describes one shard's window: Window is the block length
+// the shard may run between synchronizations (min incoming cross-port
+// latency, clamped by SetLookahead and the done grid), and Blocks counts
+// the blocks it has executed in multi-cycle windows — a wall-time
+// diagnostic, 0 under cycle-by-cycle execution.
 type ShardWindow struct {
 	Shard  int    `json:"shard"`
 	Label  string `json:"label"`
@@ -731,8 +691,8 @@ type ShardWindow struct {
 
 // WindowReport returns the per-shard window picture under the current
 // wiring and SetLookahead setting, in shard-id order. Windows are pure
-// functions of the wiring; Blocks depend on the executor (global-min
-// counts whole epochs, per-shard counts per-shard blocks).
+// functions of the wiring and the cap; Blocks depend on how Run and Step
+// cut the run into windows.
 func (e *Engine) WindowReport() []ShardWindow {
 	wins, _ := e.shardWindows(e.doneGrid())
 	out := make([]ShardWindow, len(e.shards))
@@ -803,17 +763,15 @@ func (e *Engine) ensureParts() {
 
 // loadEstimate is the deterministic per-shard load input to assignment:
 // the tick count accumulated over the current repartition window, falling
-// back to the whole-run tick count and then the static weight before any
-// cycles have run. Always at least 1 so empty shards still get assigned.
+// back to the whole-run tick count and then, before any cycles have run,
+// the component count. Always at least 1 so empty shards still get
+// assigned.
 func (sh *shard) loadEstimate() uint64 {
 	if est := sh.ticks - sh.lastTicks; est > 0 {
 		return est
 	}
 	if sh.ticks > 0 {
 		return sh.ticks
-	}
-	if sh.weight > 0 {
-		return sh.weight
 	}
 	if n := uint64(len(sh.comps)); n > 0 {
 		return n
@@ -850,8 +808,8 @@ func (e *Engine) assign() {
 		sh.part = p
 	}
 	// Execute shards within a partition in id order: not required for
-	// correctness (the two-phase protocol makes tick order irrelevant), but
-	// it keeps serial iteration and diagnostics stable.
+	// correctness (shards interact only through cross ports), but it keeps
+	// serial iteration and diagnostics stable.
 	for _, p := range e.parts {
 		sort.Slice(p.shards, func(i, j int) bool { return p.shards[i].id < p.shards[j].id })
 	}
@@ -878,50 +836,101 @@ func (e *Engine) Step() {
 	e.advance(1)
 }
 
-// advance runs the next n cycles as one epoch, including the barrier that
-// follows them. The fused epoch path dispatches once: each partition runs
-// its shards' three phases cycle by cycle with no global synchronization
-// until the epoch ends. Safe only when every inter-shard port is
-// cross-registered with MinLatency >= n (guaranteed by the Lookahead
-// clamp), because mid-epoch a shard only observes its own state plus
-// deliveries sealed at earlier barriers. A wiring that registers cross
-// ports promises that for every link (DESIGN.md §12), so a single cycle
-// is a one-cycle epoch there. Only wirings without cross ports, whose
-// shards may share plain ports, take the classic three-phase cycle with a
-// barrier after each phase.
+// advance runs the next n >= 1 cycles as one window of min-clock rounds,
+// followed by the window's barrier. Each round picks the minimum
+// per-shard clock m; every shard whose clock is m runs one block of
+// min(its window, window end - m) cycles (runCycles), and the round ends
+// by sealing freshly staged cross-shard sends while all shard work is
+// idle. Safe because a shard runnable at the global minimum clock m has
+// every producer at clock >= m, so anything it could receive before m +
+// its window was sent at least one full link latency earlier and is
+// already sealed; and no in-flight send can be due before its consumer's
+// clock (latency >= the consumer's window). A window no longer than the
+// narrowest shard window (minWin) is a single round in which each shard
+// runs the whole window, so it keeps no clocks and its only seal is the
+// barrier's. All clocks meet at the window end, so between windows the
+// engine holds no window state — checkpoints need none.
 func (e *Engine) advance(n uint64) {
 	if e.errCount.Load() > 0 {
 		return
 	}
 	e.ensureParts()
-	if n == 1 && len(e.crossPorts) == 0 {
-		e.dispatch(opTick)
-		e.dispatch(opPort)
-		e.dispatch(opCommit)
-	} else {
-		e.epochN = n
-		e.dispatch(opEpoch)
-		if n > 1 {
-			e.epochs++
+	end := e.now + n
+	e.roundClock, e.roundEnd, e.clocks = e.now, end, nil
+	if n > e.minWin {
+		if cap(e.winClocks) < len(e.shards) {
+			e.winClocks = make([]uint64, len(e.shards))
 		}
+		e.clocks = e.winClocks[:len(e.shards)]
+		for i := range e.clocks {
+			e.clocks[i] = e.now
+		}
+	}
+	for {
+		e.dispatch()
+		if e.clocks == nil || e.errCount.Load() > 0 {
+			break
+		}
+		e.sealCross()
+		if e.roundClock = slices.Min(e.clocks); e.roundClock >= end {
+			break
+		}
+	}
+	if n > 1 {
+		e.epochs++
 	}
 	if e.prof != nil {
 		e.prof.steps += n
 	}
-	e.now += n
+	e.now = end
 	e.barrier()
 }
 
-// barrier is the epoch boundary: freshly staged cross-shard sends are
+// runRound executes partition p's share of the current round: every owned
+// shard whose clock is at the round runs its block, skipping the cycles
+// before its workAt. In a window of one round every shard's block is the
+// whole window, so that loop reads no clock. Distinct partitions touch
+// disjoint clocks entries, and the round bounds were published before
+// dispatch.
+func (e *Engine) runRound(p *partition) {
+	m, end := e.roundClock, e.roundEnd
+	if e.clocks == nil {
+		count := end-m > 1 // blocks of one-cycle windows are not counted
+		for _, sh := range p.shards {
+			if count {
+				sh.blocks++
+			}
+			if sh.workAt < end {
+				p.cur = sh
+				sh.runCycles(m, end)
+			}
+		}
+		return
+	}
+	for _, sh := range p.shards {
+		if e.clocks[sh.id] != m {
+			continue
+		}
+		b := e.blockEnd(sh)
+		e.clocks[sh.id] = b
+		sh.blocks++
+		if sh.workAt < b {
+			p.cur = sh
+			sh.runCycles(m, b)
+		}
+	}
+}
+
+// barrier is the window boundary: freshly staged cross-shard sends are
 // sealed into their ports' future lists, entries due at the next cycle are
 // released, and sink ports are committed. e.now is the next cycle to
-// execute. A send at cycle u arrived with at = u + lat >= epoch-end, so
-// sealing cannot race the epoch's own mid-cycle releases; the release here
-// covers exactly the lat == epoch-length envelopes that fall due
-// immediately (the classic next-cycle delivery when lookahead is 1). Each
-// shard with a delivery due releases its own ports, as its next cycle
-// would, which leaves its crossDue exact: the shard does not rescan its
-// ports on that cycle with nothing due.
+// execute. A send at cycle u arrived with at = u + lat >= window end, so
+// sealing cannot race the window's own mid-cycle releases; the release
+// here covers exactly the envelopes that fall due immediately (the
+// next-cycle delivery of one-cycle windows). Each shard with a delivery
+// due releases its own ports, as its next cycle would, which leaves its
+// crossDue exact: the shard does not rescan its ports on that cycle with
+// nothing due.
 func (e *Engine) barrier() {
 	if len(e.crossPorts) == 0 && len(e.sinkPorts) == 0 {
 		return
@@ -938,9 +947,9 @@ func (e *Engine) barrier() {
 // sealCross merges every cross-shard port's freshly staged sends into its
 // future list (the Seal is ordered by (release,key,seq), so the merge is
 // independent of the drain order here) and marks the port pending. Called
-// with all phase work idle: at epoch barriers, and at the end of every
-// per-shard round. The dispatch that just returned orders every append to
-// dirtyCross before this read, so it takes no lock.
+// with all shard work idle: at the end of every round of a window of
+// several rounds, and at window barriers. The dispatch that just returned
+// orders every append to dirtyCross before this read, so it takes no lock.
 func (e *Engine) sealCross() {
 	for _, idx := range e.dirtyCross {
 		e.crossPorts[idx].Seal(e.now)
@@ -974,92 +983,8 @@ func (e *Engine) syncCross() {
 	}
 }
 
-// advanceWindow runs the next n >= 2 cycles with per-shard fused blocks:
-// the window is executed as a sequence of min-clock rounds. Each round
-// picks the minimum per-shard clock m; every shard whose clock is m runs
-// one fused block of min(its window, window end - m) cycles — releasing
-// deliveries due at the block's first cycle, then tick/port/commit per
-// cycle exactly like an epoch — and the round ends by sealing freshly
-// staged cross-shard sends while all phase work is idle. Safe because a
-// shard runnable at the global minimum clock m has every producer at
-// clock >= m, so anything it could receive before m + window was sent at
-// least one full link latency earlier and is already sealed; and no
-// in-flight send can be due before its consumer's clock (latency >= the
-// consumer's window). All clocks meet at the window end, so between
-// windows the engine state is indistinguishable from global-min
-// execution — checkpoints need no extra state — and the closing barrier
-// releases due deliveries and commits sinks exactly like advance.
-func (e *Engine) advanceWindow(n uint64) {
-	if e.errCount.Load() > 0 {
-		return
-	}
-	e.ensureParts()
-	end := e.now + n
-	if cap(e.winClocks) < len(e.shards) {
-		e.winClocks = make([]uint64, len(e.shards))
-	}
-	clocks := e.winClocks[:len(e.shards)]
-	e.winClocks = clocks
-	for i := range clocks {
-		clocks[i] = e.now
-	}
-	for {
-		m := end
-		for _, c := range clocks {
-			if c < m {
-				m = c
-			}
-		}
-		if m >= end {
-			break
-		}
-		e.roundClock, e.roundEnd = m, end
-		e.dispatch(opRound)
-		if e.errCount.Load() > 0 {
-			break
-		}
-		e.sealCross()
-	}
-	if e.prof != nil {
-		e.prof.steps += n
-	}
-	e.now = end
-	e.epochs++
-	e.barrier()
-}
-
-// runRound executes one partition's share of a min-clock round: every
-// owned shard whose clock matches the round runs its fused block.
-// Distinct partitions touch disjoint winClocks entries, and the round
-// bounds were published before dispatch.
-func (e *Engine) runRound(p *partition) {
-	m := e.roundClock
-	for _, sh := range p.shards {
-		w := e.roundBlock(sh)
-		if w == 0 {
-			continue
-		}
-		p.cur = sh
-		sh.runCycles(m, m+w)
-		sh.blocks++
-		e.winClocks[sh.id] = m + w
-	}
-}
-
-// roundBlock returns the cycles shard sh runs in the current min-clock
-// round: its window, clipped to the window end, when its clock matches
-// the round's, else 0.
-func (e *Engine) roundBlock(sh *shard) uint64 {
-	m := e.roundClock
-	if e.winClocks[sh.id] != m {
-		return 0
-	}
-	return min(e.shardWins[sh.id], e.roundEnd-m)
-}
-
-// runCycles runs the shard's cycles [start, end) back to back, the loop
-// of both fused epochs and per-shard blocks: each cycle first releases
-// the deliveries already due (sealed entries whose cycle has arrived; a
+// runCycles runs the shard's cycles [start, end) back to back, one block
+// of a round: each cycle first releases the deliveries already due (sealed entries whose cycle has arrived; a
 // running shard releases the next cycle's in portPhase), then runs the
 // tick, port and commit phases. A cycle before workAt is skipped whole:
 // the shard has no component to tick, no port to commit and no delivery
@@ -1086,27 +1011,6 @@ func (sh *shard) nextWork() uint64 {
 		return min(sh.timers[0].at, sh.crossDue)
 	}
 	return sh.crossDue
-}
-
-func (p *partition) tickPhase(now uint64) {
-	for _, sh := range p.shards {
-		p.cur = sh
-		sh.tickPhase(now)
-	}
-}
-
-func (p *partition) portPhase(now uint64) {
-	for _, sh := range p.shards {
-		p.cur = sh
-		sh.portPhase(now)
-	}
-}
-
-func (p *partition) commitPhase(now uint64) {
-	for _, sh := range p.shards {
-		p.cur = sh
-		sh.commitPhase(now)
-	}
 }
 
 // tickPhase wakes due and delivered-to components, then ticks the active
@@ -1184,7 +1088,7 @@ func (sh *shard) portPhase(now uint64) {
 		sh.dirtyPorts[i] = nil
 	}
 	sh.dirtyPorts = sh.dirtyPorts[:0]
-	// Release cross-shard deliveries falling due mid-epoch: envelopes
+	// Release cross-shard deliveries falling due mid-block: envelopes
 	// sealed at earlier barriers whose cycle has arrived.
 	sh.releaseCross(now + 1)
 	if sh.prof != nil {
@@ -1268,56 +1172,15 @@ func sortActive(a []int32) {
 	}
 }
 
-// runEpochPhases runs n cycles of every shard in the partition, shard by
-// shard: each shard executes its whole epoch (tick/port/commit per cycle)
-// before the next shard starts, maximizing cache locality. Valid because
-// shards interact only through cross-shard ports, whose deliveries within
-// the epoch were all sealed at earlier barriers.
-func (p *partition) runEpochPhases(start, n uint64) {
-	end := start + n
-	for _, sh := range p.shards {
-		if n > 1 {
-			sh.blocks++
-		}
-		if sh.workAt < end {
-			p.cur = sh
-			sh.runCycles(start, end)
-		}
-	}
-}
-
-// Dispatch ops: the three phases of a classic cycle, a fused epoch (length
-// in e.epochN), and one per-shard min-clock round (bounds in
-// e.roundClock/e.roundEnd). opStop tells the workers to exit.
-const (
-	opTick uint8 = iota
-	opPort
-	opCommit
-	opEpoch
-	opRound
-	opStop
-)
-
-// runOp executes op on partition pi. Under the parallel executor a
-// component panic is recovered into a recorded error (see Err); under the
-// serial executor it propagates to the caller.
-func (e *Engine) runOp(pi int, op uint8) {
+// runPartition executes partition pi's share of the current round. Under
+// the parallel executor a component panic is recovered into a recorded
+// error (see Err); under the serial executor it propagates to the caller.
+func (e *Engine) runPartition(pi int) {
 	p := e.parts[pi]
 	if e.parallel {
 		defer e.recoverPartition(pi, p)
 	}
-	switch op {
-	case opTick:
-		p.tickPhase(e.now)
-	case opPort:
-		p.portPhase(e.now)
-	case opCommit:
-		p.commitPhase(e.now)
-	case opEpoch:
-		p.runEpochPhases(e.now, e.epochN)
-	case opRound:
-		e.runRound(p)
-	}
+	e.runRound(p)
 }
 
 // recoverPartition converts a component panic in partition p into a
@@ -1358,49 +1221,55 @@ func (e *Engine) recoverPartition(pi int, p *partition) {
 // simulated histories are identical for every value.
 const handoffWork = 64
 
-// dispatch runs op on every partition and returns once all have finished:
-// it is the barrier between the op and whatever the caller does next.
-// With workers started and enough work in the op (opWork at least
-// handoffMin), the caller publishes the op, wakes the workers, runs
-// partition 0 itself, and waits for the pending count to drain, so the
-// op costs one handoff each way. Otherwise it runs every partition in
-// turn on the caller.
-func (e *Engine) dispatch(op uint8) {
+// dispatch runs the current round on every partition and returns once all
+// have finished: it is the barrier between the round and whatever the
+// caller does next. With workers started and enough work in the round
+// (roundWork at least handoffMin), the caller publishes the round, wakes
+// the workers, runs partition 0 itself, and waits for the pending count to
+// drain, so the round costs one handoff each way. Otherwise it runs every
+// partition in turn on the caller.
+func (e *Engine) dispatch() {
 	if e.workers != nil {
 		e.dispatched++
-		if e.opWork(op) >= e.handoffMin {
+		if e.roundWork() >= e.handoffMin {
 			e.handoffs++
-			e.publish(op)
-			e.runOp(0, op)
+			e.publish(false)
+			e.runPartition(0)
 			e.coord.await(func() bool { return e.pending.Load() == 0 })
 			return
 		}
 	}
 	for pi := range e.parts {
-		e.runOp(pi, op)
+		e.runPartition(pi)
 	}
 }
 
-// opWork estimates the component ticks op will run: for every shard
-// taking part, the components about to tick (active plus queued wakes)
-// times the cycles the op covers for that shard — one for a phase of a
-// classic cycle, the epoch length for an epoch, and the shard's block in
-// a min-clock round. Read between dispatches, when no partition runs.
-func (e *Engine) opWork(op uint8) uint64 {
+// roundWork estimates the component ticks the current round will run: for
+// every shard taking part, the components about to tick (active plus
+// queued wakes) times the cycles of its block. Read between dispatches,
+// when no partition runs.
+func (e *Engine) roundWork() uint64 {
+	m := e.roundClock
 	var w uint64
-	if op == opRound {
+	if e.clocks == nil {
 		for _, sh := range e.shards {
-			w += sh.tickLoad() * e.roundBlock(sh)
+			w += sh.tickLoad()
 		}
-		return w
+		return w * (e.roundEnd - m)
 	}
 	for _, sh := range e.shards {
-		w += sh.tickLoad()
-	}
-	if op == opEpoch {
-		w *= e.epochN
+		if e.clocks[sh.id] == m {
+			w += sh.tickLoad() * (e.blockEnd(sh) - m)
+		}
 	}
 	return w
+}
+
+// blockEnd is the cycle at which shard sh's block ends in the current
+// round of a window of several rounds: its window past the round's clock,
+// clipped to the window end.
+func (e *Engine) blockEnd(sh *shard) uint64 {
+	return min(e.roundClock+e.shardWins[sh.id], e.roundEnd)
 }
 
 // tickLoad is the number of components the shard's next tick phase runs,
@@ -1418,10 +1287,11 @@ func (sh *shard) tickLoad() uint64 {
 // never checkpointed.
 func (e *Engine) Handoffs() (handed, dispatched uint64) { return e.handoffs, e.dispatched }
 
-// publish hands op to every worker: everything the coordinator wrote
-// before the generation bump is visible to a worker that observes it.
-func (e *Engine) publish(op uint8) {
-	e.op = op
+// publish hands the current round, or the order to stop, to every worker:
+// everything the coordinator wrote before the generation bump is visible
+// to a worker that observes it.
+func (e *Engine) publish(stop bool) {
+	e.stop = stop
 	e.pending.Store(int32(len(e.workers)))
 	e.gen.Add(1)
 	for _, w := range e.workers {
@@ -1429,18 +1299,19 @@ func (e *Engine) publish(op uint8) {
 	}
 }
 
-// workerLoop executes partition pi of every op published after generation
-// seen, until opStop. Its writes happen before its pending decrement, which
-// the coordinator observes before touching partition state again.
+// workerLoop executes partition pi's share of every round published after
+// generation seen, until told to stop. Its writes happen before its
+// pending decrement, which the coordinator observes before touching
+// partition state again.
 func (e *Engine) workerLoop(pi int, w *parker, seen uint64) {
 	defer e.wg.Done()
 	for {
 		w.await(func() bool { return e.gen.Load() != seen })
 		seen++
-		if e.op == opStop {
+		if e.stop {
 			return
 		}
-		e.runOp(pi, e.op)
+		e.runPartition(pi)
 		if e.pending.Add(-1) == 0 {
 			e.coord.signal()
 		}
@@ -1459,7 +1330,6 @@ func (e *Engine) startWorkers() {
 	if len(e.parts) < 2 {
 		return
 	}
-	e.setShared(true)
 	if e.coord.wake == nil {
 		e.coord.wake = make(chan struct{}, 1)
 	}
@@ -1478,30 +1348,9 @@ func (e *Engine) stopWorkers() {
 	if e.workers == nil {
 		return
 	}
-	e.publish(opStop)
+	e.publish(true)
 	e.wg.Wait()
 	e.workers = nil
-	e.setShared(false)
-}
-
-// setShared switches the locks on plain-port staging and the shards' dirty
-// lists on or off around the workers' lifetime. Only a wiring without
-// cross ports needs them: its classic cycle ticks every partition at once,
-// and a component may send to a port another partition owns. Once a wiring
-// registers cross ports, every inter-shard link is one (DESIGN.md §12), so
-// a plain port's producers and owner share a shard and a goroutine.
-// Cross ports always lock their staging, and the engine's dirty-cross list
-// its appends: their producers sit in other shards.
-func (e *Engine) setShared(on bool) {
-	if len(e.crossPorts) > 0 {
-		return
-	}
-	for _, sh := range e.shards {
-		sh.shared = on
-		for _, p := range sh.plain {
-			p.setShared(on)
-		}
-	}
 }
 
 // spinFor bounds how long a waiter polls before it parks. It covers a
@@ -1569,10 +1418,10 @@ func (e *Engine) Settle() {
 
 // Err returns the error from the first component panic recovered in
 // parallel mode, or nil. The report names the cycle the component was
-// executing, which inside a fused epoch can precede Now. When several
+// executing, which inside a multi-cycle window can precede Now. When several
 // partitions panicked, the earliest cycle wins, then the lowest partition
 // index, so the report is deterministic. The no-error fast path is a
-// single atomic load (Run polls every epoch).
+// single atomic load (Run polls every window).
 func (e *Engine) Err() error {
 	if e.errCount.Load() == 0 {
 		return nil
@@ -1642,7 +1491,7 @@ func (e *Engine) stalledReport() string {
 // checkWatchdog evaluates the zero-progress watchdog; a non-nil return is
 // the diagnostic error Run should stop with. Stuckness is accounted in
 // simulated cycles (the first stuck observation records its cycle; the
-// watchdog fires one full interval later), so multi-cycle epochs neither
+// watchdog fires one full interval later), so multi-cycle windows neither
 // advance nor delay the firing cycle: Run evaluates the check on the same
 // cycle grid for every lookahead setting.
 func (e *Engine) checkWatchdog() error {
@@ -1698,18 +1547,14 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	}
 	// The done condition and the watchdog are evaluated only on an absolute
 	// cycle grid whose pitch is the done grid — a pure function of the
-	// wiring, NOT of any SetLookahead override or the per-shard toggle — so
-	// every executor setting observes completion (and wedges) on the
-	// identical cycle. Advances are clipped to realign with the grid after
-	// a mid-grid entry (e.g. a budget-sliced timeline run) and to respect
-	// the remaining budget, so no grid cycle is ever skipped and budget
-	// stops land exactly. Per-shard windows engage only when the wiring is
-	// actually heterogeneous (some shard's window exceeds the global
-	// minimum); uniform wirings keep the global-min epoch path.
+	// wiring, NOT of any SetLookahead override — so every executor setting
+	// observes completion (and wedges) on the identical cycle. A window is
+	// the widest effective shard window, clipped to realign with the grid
+	// after a mid-grid entry (e.g. a budget-sliced timeline run) and to
+	// respect the remaining budget, so no grid cycle is ever skipped and
+	// budget stops land exactly.
 	grid := e.doneGrid()
-	look := e.Lookahead()
 	_, maxWin := e.shardWindows(grid)
-	perShard := !e.perShardOff && maxWin > look
 	start := e.now
 	for {
 		if e.now%grid == 0 && done != nil && done() {
@@ -1719,21 +1564,7 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 		if left == 0 {
 			break
 		}
-		n := look
-		if perShard {
-			n = grid
-		}
-		if r := grid - e.now%grid; r < n {
-			n = r
-		}
-		if left < n {
-			n = left
-		}
-		if perShard && n > 1 {
-			e.advanceWindow(n)
-		} else {
-			e.advance(n)
-		}
+		e.advance(min(maxWin, grid-e.now%grid, left))
 		if e.repartEvery > 0 && e.now >= e.nextRepart {
 			e.repartition()
 			e.nextRepart = e.now + e.repartEvery

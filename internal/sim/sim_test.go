@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 )
@@ -91,7 +90,8 @@ func TestEngineRunBudgetExhausted(t *testing.T) {
 	}
 }
 
-// portSender sends a deterministic message stream during Tick.
+// portSender sends a deterministic message stream during Tick over a
+// cross-shard port (see addSink).
 type portSender struct {
 	id   uint64
 	port *Port[uint64]
@@ -100,11 +100,27 @@ type portSender struct {
 
 func (s *portSender) Tick(now uint64) {
 	for i := uint64(0); i < 3; i++ {
-		s.port.Send(s.id, i, s.id*1000+now*10+i)
+		s.port.SendFrom(s.id, i, now, s.id*1000+now*10+i)
 		s.sent++
 	}
 }
 func (s *portSender) Commit(uint64) {}
+
+// sink owns a port that senders in other shards share, and leaves what
+// arrives in its queue for the test to drain.
+type sink struct{}
+
+func (*sink) Tick(uint64)   {}
+func (*sink) Commit(uint64) {}
+
+// addSink registers port as a cross-shard port owned by a sink in its own
+// shard, so senders in every other shard may share it: components in
+// different shards interact only through cross-shard ports.
+func addSink(e *Engine, port *Port[uint64]) {
+	s := &sink{}
+	e.AddShard("sink", s)
+	e.AddCrossPortFor(s, port)
+}
 
 func TestParallelMatchesSerial(t *testing.T) {
 	build := func(parallel bool) (*Engine, *Port[uint64]) {
@@ -114,14 +130,14 @@ func TestParallelMatchesSerial(t *testing.T) {
 		// (the default collapses to one partition there).
 		e.SetMaxPartitions(4)
 		port := NewPort[uint64](0)
-		e.AddPort(port)
 		for p := 0; p < 8; p++ {
 			senders := make([]Ticker, 0, 4)
 			for s := 0; s < 4; s++ {
 				senders = append(senders, &portSender{id: uint64(p*4 + s), port: port})
 			}
-			e.AddPartition(senders...)
+			e.AddShard("", senders...)
 		}
+		addSink(e, port)
 		return e, port
 	}
 	eS, pS := build(false)
@@ -140,32 +156,6 @@ func TestParallelMatchesSerial(t *testing.T) {
 			t.Fatalf("message %d differs: parallel %d, serial %d", i, got[i], want[i])
 		}
 	}
-}
-
-func TestParallelPhaseBarrier(t *testing.T) {
-	// All Ticks of a cycle must complete before any Commit of that cycle.
-	var inTick atomic.Int32
-	type phaseTicker struct {
-		Ticker
-	}
-	_ = phaseTicker{}
-	mk := func() Ticker {
-		return &funcTicker{
-			tick: func(uint64) { inTick.Add(1) },
-			commit: func(uint64) {
-				if inTick.Load() != 16 {
-					t.Errorf("commit ran before all ticks: %d", inTick.Load())
-				}
-			},
-		}
-	}
-	e := NewEngine()
-	e.SetParallel(true)
-	e.SetMaxPartitions(16)
-	for p := 0; p < 16; p++ {
-		e.AddPartition(mk())
-	}
-	e.Step()
 }
 
 type funcTicker struct {
@@ -373,38 +363,6 @@ func TestQuiescenceMatchesAlwaysActive(t *testing.T) {
 	}
 }
 
-// TestWorkerBarrierPhases forces the persistent-worker executor (Run uses
-// it only when GOMAXPROCS > 1, so single-CPU CI would otherwise never
-// exercise it) and checks the phase barrier: all Ticks of a cycle complete
-// before any Commit of that cycle.
-func TestWorkerBarrierPhases(t *testing.T) {
-	var inTick atomic.Int32
-	const parts = 8
-	e := NewEngine()
-	e.SetParallel(true)
-	e.SetMaxPartitions(parts)
-	for p := 0; p < parts; p++ {
-		e.AddPartition(&funcTicker{
-			tick: func(uint64) { inTick.Add(1) },
-			commit: func(uint64) {
-				if v := inTick.Load(); v%parts != 0 {
-					t.Errorf("commit observed %d ticks, want multiple of %d", v, parts)
-				}
-			},
-		})
-	}
-	handOffAll(e)
-	e.startWorkers()
-	defer e.stopWorkers()
-	for i := 0; i < 100; i++ {
-		e.Step()
-	}
-	if got := inTick.Load(); got != 100*parts {
-		t.Fatalf("ticks = %d, want %d", got, 100*parts)
-	}
-	checkHandedOff(t, e)
-}
-
 func TestWorkerExecutorMatchesSerial(t *testing.T) {
 	build := func(workers bool) []uint64 {
 		e := NewEngine()
@@ -412,9 +370,9 @@ func TestWorkerExecutorMatchesSerial(t *testing.T) {
 		e.SetMaxPartitions(4)
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
-			e.AddPartition(&portSender{id: uint64(p), port: port})
+			e.AddShard("", &portSender{id: uint64(p), port: port})
 		}
-		e.AddPort(port)
+		addSink(e, port)
 		if workers {
 			handOffAll(e)
 			e.startWorkers()

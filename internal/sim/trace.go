@@ -49,7 +49,7 @@ const DefaultTraceEvents = 1 << 20
 
 // Trace is an event recorder installed with Engine.SetTrace. Buffers are
 // per shard, written only by the goroutine of the partition that currently
-// owns the shard (the phase barriers order them against the exporting
+// owns the shard (the round barriers order them against the exporting
 // goroutine and across reassignments), so recording takes no locks on the
 // engine's hot paths. Component-emitted events (Emit) go through a mutex:
 // they are rare, cross-cutting, and may fire from any partition.
@@ -103,16 +103,6 @@ func (e *Engine) SetTrace(t *Trace) {
 				t.names[si][ci] = fmt.Sprintf("%T#%d", cs.t, ci)
 			}
 		}
-	}
-}
-
-// LabelPartition names a shard in the exported trace (e.g. "sub3",
-// "uncore"); the index is the shard id (AddShard's return value, which for
-// AddPartition callers equals the registration order). Call after
-// Engine.SetTrace.
-func (t *Trace) LabelPartition(pi int, label string) {
-	if pi >= 0 && pi < len(t.labels) {
-		t.labels[pi] = label
 	}
 }
 

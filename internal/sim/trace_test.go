@@ -153,9 +153,9 @@ func TestProfileAttributesPhases(t *testing.T) {
 		e.SetParallel(parallel)
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
-			e.AddPartition(&portSender{id: uint64(p), port: port})
+			e.AddShard("", &portSender{id: uint64(p), port: port})
 		}
-		e.AddPort(port)
+		addSink(e, port)
 		prof := NewProfile()
 		e.SetProfile(prof)
 		if _, err := e.Run(200, func() bool { return false }); err == nil {
@@ -165,8 +165,8 @@ func TestProfileAttributesPhases(t *testing.T) {
 			t.Fatalf("parallel=%v: steps = %d, want 200", parallel, prof.Steps())
 		}
 		parts := prof.Partitions()
-		if len(parts) != 4 {
-			t.Fatalf("parallel=%v: %d partitions, want 4", parallel, len(parts))
+		if len(parts) != 5 {
+			t.Fatalf("parallel=%v: %d shard rows, want 5 (four senders and the sink)", parallel, len(parts))
 		}
 		var total, share float64
 		for _, pp := range parts {
@@ -190,9 +190,9 @@ func TestProfiledSerialMatchesUnprofiled(t *testing.T) {
 		e := NewEngine()
 		port := NewPort[uint64](0)
 		for p := 0; p < 2; p++ {
-			e.AddPartition(&portSender{id: uint64(p), port: port})
+			e.AddShard("", &portSender{id: uint64(p), port: port})
 		}
-		e.AddPort(port)
+		addSink(e, port)
 		if profile {
 			e.SetProfile(NewProfile())
 		}

@@ -76,34 +76,33 @@ func (f *feeder) Commit(uint64) {}
 //   - inbox on the cycle each cross delivery from the feeder shard becomes
 //     visible, four cycles after it was sent: sends at 20 and 72 fall due
 //     on a window boundary and are released at the barrier, sends at 26
-//     and 77 fall due inside a fused epoch or a per-shard block and are
-//     released when the shard resumes;
+//     and 77 fall due inside a multi-cycle block and are released when the
+//     shard resumes;
 //   - mailbox one cycle after host code sends to it between two Run
 //     calls;
 //   - courier on cycle 88, when Run's done callback wakes it.
 //
-// The wirings cover 4-cycle fused epochs (every cross port takes 4
-// cycles), per-shard min-clock rounds (the feeder's window is 1, the
-// doze shard's 4) and one-cycle epochs (the same wiring with per-shard
-// windows off), each serially and with every dispatch handed to the
-// workers.
+// The wirings cover 4-cycle windows of one round (every cross port takes
+// 4 cycles), per-shard min-clock rounds (the feeder's window is 1, the
+// doze shard's 4) and one-cycle windows (the same wiring at lookahead 1),
+// each serially and with every dispatch handed to the workers.
 func TestShardWakePaths(t *testing.T) {
 	setProcs(t, 2)
 	for _, tc := range []struct {
 		name     string
-		feedLoop bool // give the feeder a 1-cycle input, narrowing its window
-		perShard bool
+		feedLoop bool   // give the feeder a 1-cycle input, narrowing its window
+		look     uint64 // the SetLookahead cap
 	}{
-		{"epochs", false, true},
-		{"rounds", true, true},
-		{"one-cycle-epochs", true, false},
+		{"epochs", false, 0},
+		{"rounds", true, 0},
+		{"one-cycle-epochs", true, 1},
 	} {
 		for _, parallel := range []bool{false, true} {
 			name := fmt.Sprintf("%s/parallel=%v", tc.name, parallel)
 			e := NewEngine()
 			e.SetParallel(parallel)
 			e.SetMaxPartitions(2)
-			e.SetPerShardWindows(tc.perShard)
+			e.SetLookahead(tc.look)
 			if parallel {
 				handOffAll(e)
 			}
@@ -126,9 +125,13 @@ func TestShardWakePaths(t *testing.T) {
 			}
 
 			wantLook := map[bool]uint64{false: 4, true: 1}[tc.feedLoop]
-			if look, wins := e.Lookahead(), e.WindowReport(); look != wantLook || wins[0].Window != 4 || wins[1].Window != wantLook {
-				t.Fatalf("%s: lookahead %d, windows %v; want lookahead %d, doze window 4, feed window %d",
-					name, look, wins, wantLook, wantLook)
+			wantDoze := uint64(4)
+			if tc.look == 1 {
+				wantDoze = 1
+			}
+			if look, wins := e.Lookahead(), e.WindowReport(); look != wantLook || wins[0].Window != wantDoze || wins[1].Window != wantLook {
+				t.Fatalf("%s: lookahead %d, windows %v; want lookahead %d, doze window %d, feed window %d",
+					name, look, wins, wantLook, wantDoze, wantLook)
 			}
 			if _, err := e.Run(50, nil); !errors.Is(err, ErrBudget) {
 				t.Fatalf("%s: %v", name, err)

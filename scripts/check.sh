@@ -27,11 +27,10 @@ go build ./...
 # (TestLookaheadConformance, TestTimelineLookaheadIdentical,
 # TestLookaheadCheckpointCrossSetting) all run under -race here.
 # The 30m timeout is per test binary. On a 2-CPU host the chip suite
-# takes 1,302 s under -race, with card (115 s) and chaos (416 s) running
-# beside it, and the whole script 24.5 minutes; before idle shards were
-# skipped the chip suite took 1,739-1,800 s. The executor bit-identity,
-# lookahead and hetero-latency conformance matrices (259, 221 and 251 s)
-# are many full-chip runs, and the sampled-mode
+# takes 1,183 s under -race, with card (97 s) and chaos (430 s) running
+# beside it, and the whole script 22.5 minutes. The executor
+# bit-identity, lookahead and hetero-latency conformance matrices (276,
+# 225 and 186 s) are many full-chip runs, and the sampled-mode
 # suites add more — the accuracy ledger trims itself to the short kernel
 # subset under the detector (race_on_test.go; the full matrix runs
 # un-raced in the no-short suite) but the estimate-invariance matrix
