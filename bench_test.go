@@ -216,17 +216,19 @@ func BenchmarkAblations(b *testing.B) {
 // throughput (simulated cycles per wall-clock second) on the reference
 // workload, with allocation counts. BENCH_engine.json records past snapshots;
 // regenerate it with `go run ./cmd/smarcobench -engine` after engine work.
-func BenchmarkEngineSerial(b *testing.B)   { benchmarkEngine(b, false) }
-func BenchmarkEngineParallel(b *testing.B) { benchmarkEngine(b, true) }
+func BenchmarkEngineSerial(b *testing.B)   { benchmarkEngine(b, 1) }
+func BenchmarkEngineParallel(b *testing.B) { benchmarkEngine(b, 0) }
 
-func benchmarkEngine(b *testing.B, parallel bool) {
+// benchmarkEngine runs at the given chip.Config.Partitions: 1 for the
+// serial rows, 0 (one partition per CPU) for the parallel ones.
+func benchmarkEngine(b *testing.B, partitions int) {
 	for _, config := range experiments.EngineBenchConfigs {
 		b.Run(config, func(b *testing.B) {
 			b.ReportAllocs()
 			var cycles uint64
 			var wall float64
 			for i := 0; i < b.N; i++ {
-				r, err := experiments.MeasureEngine(config, parallel)
+				r, err := experiments.MeasureEngine(config, partitions)
 				if err != nil {
 					b.Fatal(err)
 				}

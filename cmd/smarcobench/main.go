@@ -170,10 +170,11 @@ type engineEntry struct {
 	Runs       []experiments.EngineRun `json:"runs"`
 }
 
-// benchEngine measures engine throughput on every config/variant/executor
-// triple and appends the results to the snapshot file, preserving earlier
-// entries. Variants are the lookahead A/B (classic 1-cycle links; 4-cycle
-// links with epochs off; 4-cycle links with the full conservative window);
+// benchEngine measures engine throughput on every config/variant/partition
+// triple (one partition, and one per CPU) and appends the results to the
+// snapshot file, preserving earlier entries. Variants are the lookahead
+// A/B (classic 1-cycle links; 4-cycle links with epochs off; 4-cycle
+// links with the full conservative window);
 // runs on the same machine must agree on the simulated cycle count, and
 // benchEngine fails if they diverge — it doubles as a conformance check.
 // With -scale paper the sweep also covers the 256-core paper chip. With
@@ -211,7 +212,7 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 				// Best of 3: wall time on a shared host swings by tens of
 				// percent run to run; the fastest repeat is the least
 				// perturbed one. Cycle identity across repeats is asserted.
-				r, s, err := experiments.MeasureEngineVariantBest(config, parallel, v, 3)
+				r, s, err := experiments.MeasureEngineVariantBest(config, partitionsFor(parallel), v, 3)
 				if err != nil {
 					return err
 				}
@@ -370,6 +371,16 @@ func benchSuite(path, label string, seed uint64) error {
 	return os.WriteFile(path, append(raw, '\n'), 0o644)
 }
 
+// partitionsFor maps the record-only parallel field of BENCH_floor.json
+// and BENCH_engine.json rows to chip.Config.Partitions: one partition per
+// CPU for a parallel row, one partition otherwise.
+func partitionsFor(parallel bool) int {
+	if parallel {
+		return 0
+	}
+	return 1
+}
+
 // benchFloor is one BENCH_floor.json entry: the reference throughput the
 // CI smoke job guards, with the tolerated fractional regression.
 // BENCH_floor.json holds either a single floor object (legacy) or an array
@@ -422,7 +433,7 @@ func benchSmoke(path string) error {
 		}
 		// Best of 2 keeps one scheduler hiccup from tripping a CI failure;
 		// the generous MaxRegress absorbs the rest.
-		r, _, err := experiments.MeasureEngineVariantBest(floor.Config, floor.Parallel, v, 2)
+		r, _, err := experiments.MeasureEngineVariantBest(floor.Config, partitionsFor(floor.Parallel), v, 2)
 		if err != nil {
 			return err
 		}

@@ -54,10 +54,7 @@ func main() {
 	stage := flag.Bool("stage", false, "stage task datasets into the SPMs (§3.6)")
 	prefetch := flag.Bool("prefetch", false, "enable the sequential SPM prefetcher (§7)")
 	mesh := flag.Bool("mesh", false, "use the 2D-mesh baseline interconnect instead of hierarchical rings")
-	parallel := flag.Bool("parallel", true, "parallel (PDES-style) execution (superseded by -executor when set)")
-	executor := flag.String("executor", "", "engine executor: serial, parallel, or auto (empty defers to -parallel)")
-	partitions := flag.Int("partitions", 0, "parallel partition cap (0 = one per CPU); results identical at any value")
-	repartEvery := flag.Uint64("repartition-every", 0, "rebalance shard->partition assignment every N cycles (0 = assign once)")
+	partitions := flag.Int("partitions", 0, "engine partitions: at most N (1 = no worker goroutines, 0 = one per CPU); results identical at any value")
 	linkLatency := flag.Uint64("link-latency", 0, "cross-shard link latency in cycles (0 = classic 1-cycle links); latencies >1 license multi-cycle engine epochs")
 	lookahead := flag.Uint64("lookahead", 0, "cap the engine's epoch length in cycles (0 = auto: the full window the link latencies allow); results identical at any setting")
 	dramLatency := flag.Uint64("dram-latency", 0, "memory-class link latency in cycles: MC ring ejects and direct datapaths (0 = -link-latency)")
@@ -112,10 +109,7 @@ func main() {
 	if *mesh {
 		cfg.Topology = "mesh"
 	}
-	cfg.Parallel = *parallel
-	cfg.Executor = *executor
 	cfg.Partitions = *partitions
-	cfg.RepartitionEvery = *repartEvery
 	cfg.LinkLatency = *linkLatency
 	cfg.Lookahead = *lookahead
 	cfg.DRAMLatency = *dramLatency

@@ -20,7 +20,7 @@ func run(policy sched.Config, label string, deadline uint64) {
 	cfg.SubRings = 1
 	cfg.CoresPerSub = 8 // one sub-ring, 64 thread contexts
 	cfg.MCs = 1
-	cfg.Parallel = false
+	cfg.Partitions = 1
 	cfg.Sched = policy
 
 	w := smarco.NewWorkload("rnc", smarco.WorkloadConfig{Seed: 5, Tasks: 64, Scale: 48, StageSPM: true})

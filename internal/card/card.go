@@ -63,7 +63,7 @@ type DispatchConfig struct {
 	// SliceCycles is the dispatcher's control-loop granularity: processors
 	// advance in lockstep slices on an absolute cycle grid and all
 	// detection/migration decisions happen at grid boundaries, which keeps
-	// runs bit-identical across executors and across restore-from-
+	// runs bit-identical across partition counts and across restore-from-
 	// checkpoint. 0 selects DefaultSliceCycles.
 	SliceCycles uint64
 	// DetectCycles is the latency between a processor dying and the

@@ -8,9 +8,9 @@
 // chip's Run), and re-dispatches orphaned and timed-out submissions to the
 // least-loaded survivor under a per-task retry budget, host-side capped
 // exponential backoff, and the PCIe retransmit model. Every decision is a
-// function of executor-invariant chip histories at grid boundaries plus
-// pure fault-hash rolls, so a run is bit-identical across the serial and
-// parallel engine executors and across restore-from-checkpoint.
+// function of partition-invariant chip histories at grid boundaries plus
+// pure fault-hash rolls, so a run is bit-identical at every engine
+// partition count and across restore-from-checkpoint.
 package card
 
 import (

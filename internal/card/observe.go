@@ -170,7 +170,7 @@ func (c *Card) TaskStates() []TaskState {
 // AccountingFingerprint hashes the canonical per-task final state (ID,
 // status, reason, attempts, last processor, resolution cycle) plus the
 // card clock. Two runs of the same scenario are bit-identical iff their
-// fingerprints match — the chaos harness's cross-executor and
+// fingerprints match — the chaos harness's cross-partition and
 // restore-determinism comparison primitive.
 func (c *Card) AccountingFingerprint() uint64 {
 	d := c.disp

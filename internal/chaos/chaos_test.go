@@ -144,25 +144,27 @@ func TestChaosKillRecovery(t *testing.T) {
 	}
 }
 
-// TestChaosExecutorInvariance: the same scenario on the serial and parallel
-// engine executors (run side by side on the runner pool) must produce
+// TestChaosExecutorInvariance: the same scenario on chips of one and two
+// engine partitions (run side by side on the runner pool) must produce
 // bit-identical accounting and completion cycles.
 func TestChaosExecutorInvariance(t *testing.T) {
-	execs := []string{"serial", "parallel"}
-	results, err := runner.Map(runner.New(2), len(execs), func(i int) (*Result, error) {
+	parts := []int{1, 2}
+	results, err := runner.Map(runner.New(2), len(parts), func(i int) (*Result, error) {
 		sc := killScenario()
-		sc.Executor = execs[i]
+		cfg := smallChip()
+		cfg.Partitions = parts[i]
+		sc.Chip = &cfg
 		return Run(sc)
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if results[0].Fingerprint != results[1].Fingerprint {
-		t.Fatalf("executor-dependent accounting: serial %x, parallel %x",
+		t.Fatalf("partition-dependent accounting: one %x, two %x",
 			results[0].Fingerprint, results[1].Fingerprint)
 	}
 	if results[0].Cycles != results[1].Cycles {
-		t.Fatalf("executor-dependent completion: serial %d, parallel %d",
+		t.Fatalf("partition-dependent completion: one %d, two %d",
 			results[0].Cycles, results[1].Cycles)
 	}
 }

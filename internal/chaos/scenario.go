@@ -23,9 +23,6 @@ type Scenario struct {
 	Dispatch card.DispatchConfig
 	// PCIe overrides the link model when non-nil.
 	PCIe *card.PCIeConfig
-	// Executor forces the engine executor ("serial", "parallel"); empty
-	// keeps the chip default. Results must be bit-identical either way.
-	Executor string
 	// Chip overrides the processor sizing when non-nil; the default is a
 	// small 2-ring, 8-core build sized for CI soaks.
 	Chip      *chip.Config
@@ -47,9 +44,6 @@ func (sc Scenario) cardConfig() card.Config {
 		ccfg = *sc.Chip
 	}
 	ccfg.Fault = sc.Fault
-	if sc.Executor != "" {
-		ccfg.Executor = sc.Executor
-	}
 	pcie := card.DefaultPCIe()
 	if sc.PCIe != nil {
 		pcie = *sc.PCIe
@@ -67,7 +61,7 @@ type Result struct {
 	Scenario string
 	Cycles   uint64
 	// Fingerprint hashes the per-task final accounting (see
-	// card.AccountingFingerprint); the cross-executor and cross-restore
+	// card.AccountingFingerprint); the cross-partition and cross-restore
 	// comparison primitive.
 	Fingerprint uint64
 	Report      card.DispatchReport

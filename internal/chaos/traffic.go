@@ -2,7 +2,7 @@
 // §11): an open-loop HTC traffic generator over the six paper benchmarks,
 // seeded fault schedules on the card layer, and scenario runners that
 // assert the dispatcher's exactly-once accounting, its determinism across
-// engine executors and across restore-from-checkpoint, and the
+// engine partition counts and across restore-from-checkpoint, and the
 // proportionality of degraded throughput after a chip kill.
 package chaos
 

@@ -18,7 +18,7 @@ func mediumConfig() Config {
 	cfg.SubRings = 8
 	cfg.CoresPerSub = 8
 	cfg.MCs = 4
-	cfg.Parallel = false
+	cfg.Partitions = 1
 	return cfg
 }
 
@@ -36,23 +36,23 @@ func runToCycle(t *testing.T, c *Chip, target uint64) {
 // TestCheckpointRestoreBitIdentical is the core restore-determinism
 // contract: a run checkpointed mid-flight and resumed in a freshly built
 // chip finishes at the same cycle with identical metrics as the
-// uninterrupted run — under both executors, with and without fault
-// injection.
+// uninterrupted run — on one partition and on two, with and without
+// fault injection.
 func TestCheckpointRestoreBitIdentical(t *testing.T) {
 	cases := []struct {
-		name     string
-		parallel bool
-		fault    bool
+		name  string
+		parts int
+		fault bool
 	}{
-		{"serial", false, false},
-		{"parallel", true, false},
-		{"serial-faults", false, true},
-		{"parallel-faults", true, true},
+		{"serial", 1, false},
+		{"parallel", 2, false},
+		{"serial-faults", 1, true},
+		{"parallel-faults", 2, true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := mediumConfig()
-			cfg.Parallel = tc.parallel
+			cfg.Partitions = tc.parts
 			if tc.fault {
 				cfg.Fault = fault.Config{
 					Seed:          42,
@@ -270,8 +270,8 @@ func TestBisectFindsPerturbation(t *testing.T) {
 
 // TestMetamorphicInvariants asserts cycle-count identity across observation
 // and execution modes that must not perturb timing: tracing, profiling, a
-// zero-rate fault layer, the parallel executor, and the checkpoint/restore
-// path all yield the same cycle count as the plain serial run.
+// zero-rate fault layer, two partitions, and the checkpoint/restore path
+// all yield the same cycle count as the plain one-partition run.
 func TestMetamorphicInvariants(t *testing.T) {
 	mk := func() *kernels.Workload {
 		return kernels.MustNew("kmp", kernels.Config{Seed: 17, Tasks: 8, Scale: 384})
@@ -301,7 +301,7 @@ func TestMetamorphicInvariants(t *testing.T) {
 	}
 	variants := []variant{
 		{"plain-serial", base(nil)},
-		{"parallel", base(func(c *Config) { c.Parallel = true })},
+		{"parallel", base(func(c *Config) { c.Partitions = 2 })},
 		{"zero-rate-faults", base(func(c *Config) { c.Fault = fault.Config{Seed: 99} })},
 		{"trace", func(t *testing.T) uint64 {
 			cfg := SmallConfig()

@@ -7,7 +7,6 @@ package chip
 
 import (
 	"fmt"
-	"runtime"
 
 	"smarco/internal/cpu"
 	"smarco/internal/dram"
@@ -44,25 +43,12 @@ type Config struct {
 	Topology string
 	// MeshLink configures the mesh baseline's links.
 	MeshLink noc.MeshLinkConfig
-	// Parallel selects the PDES-style parallel executor; results are
-	// identical to serial execution. Superseded by Executor when that is
-	// non-empty.
-	Parallel bool
-	// Executor picks the engine executor explicitly: "serial", "parallel",
-	// or "auto" (parallel only when the host has more than one CPU and the
-	// chip is at least autoParallelCores cores — the measured crossover
-	// below which a chip has too little work per cycle to hand any of it
-	// to a worker, so parallel gains nothing over serial). Empty defers to
-	// the Parallel field.
-	Executor string
-	// Partitions caps the parallel executor's partition count (0 = one per
-	// available CPU). Purely a wall-time knob: results are identical for
-	// every value.
+	// Partitions is the engine's one concurrency setting: the run executes
+	// on at most this many partitions, never more than the shard count,
+	// and 0 means one per available CPU. 1 starts no worker goroutines.
+	// Negative values are rejected by Build. Purely a wall-time setting:
+	// results are identical for every value (DESIGN.md §10).
 	Partitions int
-	// RepartitionEvery rebalances the shard→partition assignment every N
-	// cycles from deterministic per-shard load counters (0 = assign once at
-	// start). Results are bit-identical with any setting.
-	RepartitionEvery uint64
 	// LinkLatency is the minimum cycle delay of every cross-shard boundary
 	// link (main-ring injects and ejects, direct-link endpoints, scheduler
 	// task and credit channels). 0 selects the historical 1-cycle latency.
@@ -90,7 +76,7 @@ type Config struct {
 	// shard fed only by latency-8 links runs 8-cycle blocks while the
 	// scheduler shard steps cycle by cycle (DESIGN.md §14). As with
 	// LinkLatency, these define the simulated machine — results are
-	// bit-identical across executors and lookahead caps on the same
+	// bit-identical across partition counts and lookahead caps on the same
 	// latency profile, but differ between profiles.
 	DRAMLatency     uint64
 	MainRingLatency uint64
@@ -133,49 +119,28 @@ func DefaultConfig() Config {
 		DirectDelay: 4,
 		DirectBytes: 8,
 		MeshLink:    noc.DefaultMeshLink(),
-		Parallel:    true,
 		ClockHz:     1.5e9,
 	}
 }
 
-// SmallConfig is a 4×4 (16-core) chip for tests and examples.
+// SmallConfig is a 4×4 (16-core) chip for tests and examples. It runs on
+// one partition: a chip this small has too little work per cycle to hand
+// any of it to a worker (DESIGN.md §10).
 func SmallConfig() Config {
 	cfg := DefaultConfig()
 	cfg.SubRings = 4
 	cfg.CoresPerSub = 4
 	cfg.MCs = 2
-	cfg.Parallel = false
+	cfg.Partitions = 1
 	return cfg
 }
 
 // Cores returns the total core count.
 func (c Config) Cores() int { return c.SubRings * c.CoresPerSub }
 
-// autoParallelCores is the chip size at which Executor "auto" switches to
-// the parallel executor. The engine hands a dispatch to its workers only
-// when its work pays for the handoff, so on light chips the parallel
-// executor runs almost every dispatch inline and gains nothing. On the
-// 2-CPU host of the latest BENCH_engine.json entry (DESIGN.md §10) the
-// 16-core chip handed off no kmp dispatch and ran at a median 0.90×
-// serial over ten alternating pairs, the 64-core chip ran kmp at serial
-// speed within noise, and the 256-core chip ran SPM-staged kmeans 1.55×
-// faster than serial.
-const autoParallelCores = 64
-
-// EffectiveParallel resolves the executor selection to a concrete mode for
-// this host. Executor "" defers to the legacy Parallel bool.
-func (c Config) EffectiveParallel() bool {
-	switch c.Executor {
-	case "serial":
-		return false
-	case "parallel":
-		return true
-	case "auto":
-		return runtime.GOMAXPROCS(0) > 1 && c.Cores() >= autoParallelCores
-	default:
-		return c.Parallel
-	}
-}
+// EffectiveParallel reports whether the run may use more than one
+// partition.
+func (c Config) EffectiveParallel() bool { return c.Partitions != 1 }
 
 // Threads returns the total hardware thread count.
 func (c Config) Threads() int {
@@ -259,14 +224,10 @@ func Build(cfg Config, store *mem.Sparse) (*Chip, error) {
 		}
 		c.inj = inj
 	}
-	switch cfg.Executor {
-	case "", "serial", "parallel", "auto":
-	default:
-		return nil, fmt.Errorf("chip: unknown executor %q (want serial, parallel, or auto)", cfg.Executor)
+	if cfg.Partitions < 0 {
+		return nil, fmt.Errorf("chip: partitions %d is negative (want 0 for one per CPU, or at least 1)", cfg.Partitions)
 	}
-	c.eng.SetParallel(cfg.EffectiveParallel())
 	c.eng.SetMaxPartitions(cfg.Partitions)
-	c.eng.SetRepartition(cfg.RepartitionEvery)
 	wd := cfg.WatchdogCycles
 	if wd == 0 {
 		wd = sim.DefaultWatchdogCycles
@@ -631,8 +592,8 @@ func (c *Chip) Lookahead() uint64 { return c.eng.Lookahead() }
 // Epochs counts engine synchronization rounds so far (see Snapshot.Epochs).
 func (c *Chip) Epochs() uint64 { return c.eng.Epochs() }
 
-// Handoffs reports how many engine dispatches went to the parallel
-// executor's workers and how many it made while they ran (see
+// Handoffs reports how many engine dispatches went to the workers and how
+// many the engine made while they ran (see
 // sim.Engine.Handoffs). A wall-time diagnostic, not in snapshots.
 func (c *Chip) Handoffs() (handed, dispatched uint64) { return c.eng.Handoffs() }
 

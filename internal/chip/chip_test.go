@@ -54,23 +54,23 @@ func scaleFor(name string) int {
 }
 
 func TestSerialParallelEquivalence(t *testing.T) {
-	run := func(parallel bool) (uint64, error, *kernels.Workload) {
+	run := func(parts int) (uint64, error, *kernels.Workload) {
 		w := kernels.MustNew("rnc", kernels.Config{Seed: 3, Tasks: 12})
 		cfg := SmallConfig()
-		cfg.Parallel = parallel
+		cfg.Partitions = parts
 		c := New(cfg, w.Mem)
 		c.Submit(w.Tasks)
 		cycles, err := c.Run(3_000_000)
 		return cycles, err, w
 	}
-	cs, err, ws := run(false)
+	cs, err, ws := run(1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := ws.Check(); err != nil {
 		t.Fatal(err)
 	}
-	cp, err, wp := run(true)
+	cp, err, wp := run(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestSerialParallelEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	if cs != cp {
-		t.Fatalf("serial (%d cycles) and parallel (%d cycles) runs diverged", cs, cp)
+		t.Fatalf("one-partition (%d cycles) and two-partition (%d cycles) runs diverged", cs, cp)
 	}
 }
 

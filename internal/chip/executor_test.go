@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 
 	"smarco/internal/fault"
@@ -12,15 +13,15 @@ import (
 	"smarco/internal/snapshot"
 )
 
-// normalizedSnapshot serializes a chip snapshot with the executor-dependent
-// fields blanked: which executor ran and which partition each shard landed
-// on are wall-time concerns, everything else (cycles, metrics, per-shard
-// tick counts) must be bit-identical across executors.
+// normalizedSnapshot serializes a chip snapshot with the fields that
+// depend on the partition count blanked: how many partitions ran and which
+// one each shard landed on are wall-time concerns, everything else
+// (cycles, metrics, per-shard tick counts) must be bit-identical at every
+// partition count.
 func normalizedSnapshot(t *testing.T, c *Chip) []byte {
 	t.Helper()
 	s := c.Snapshot("identity", "kmp")
 	s.Chip.Parallel = false
-	s.Chip.Executor = ""
 	for i := range s.Load {
 		s.Load[i].Partition = 0
 	}
@@ -31,68 +32,45 @@ func normalizedSnapshot(t *testing.T, c *Chip) []byte {
 	return raw
 }
 
-// TestAutoExecutorCrossover: "auto" picks parallel only on a multi-CPU
-// host with a chip at or above the measured crossover size; explicit modes
-// always win. (The bit-identity matrix below need not rerun "auto": on the
-// small chip it resolves to serial everywhere.)
-func TestAutoExecutorCrossover(t *testing.T) {
-	small := SmallConfig()
-	small.Executor = "auto"
-	if small.EffectiveParallel() {
-		t.Fatalf("auto on a %d-core chip picked parallel (crossover is %d cores)",
-			small.Cores(), autoParallelCores)
-	}
-	full := DefaultConfig()
-	full.Executor = "auto"
-	want := runtime.GOMAXPROCS(0) > 1
-	if got := full.EffectiveParallel(); got != want {
-		t.Fatalf("auto on the %d-core chip = %v, want %v (GOMAXPROCS=%d)",
-			full.Cores(), got, want, runtime.GOMAXPROCS(0))
-	}
-	for _, tc := range []struct {
-		mode string
-		want bool
-	}{{"serial", false}, {"parallel", true}} {
+// TestNegativePartitionsRejected: a negative partition count is a
+// configuration error, not a request for one partition per CPU.
+func TestNegativePartitionsRejected(t *testing.T) {
+	for _, n := range []int{-1, -2} {
 		cfg := SmallConfig()
-		cfg.Executor = tc.mode
-		if got := cfg.EffectiveParallel(); got != tc.want {
-			t.Fatalf("executor %q resolved to parallel=%v, want %v", tc.mode, got, tc.want)
+		cfg.Partitions = n
+		if _, err := Build(cfg, nil); err == nil || !strings.Contains(err.Error(), "partitions") {
+			t.Fatalf("Build with Partitions %d: err %v, want a partitions error", n, err)
 		}
 	}
-	bad := SmallConfig()
-	bad.Executor = "warp"
-	if _, err := Build(bad, nil); err == nil {
-		t.Fatal("Build accepted unknown executor")
+	for _, n := range []int{0, 1, 3} {
+		cfg := SmallConfig()
+		cfg.Partitions = n
+		if _, err := Build(cfg, nil); err != nil {
+			t.Fatalf("Build with Partitions %d: %v", n, err)
+		}
 	}
 }
 
-// TestExecutorBitIdentity is the partitioning-invariance contract: the
-// serial executor, the parallel executor at its default and at a forced
-// partition count, periodic repartitioning, the "auto" mode, and a
-// checkpoint restored into a differently-partitioned chip all produce the
-// same cycle count and the same (normalized) snapshot — with and without
-// fault injection, and on one heavy workload whose dispatches the
-// parallel executor hands to its workers.
+// TestExecutorBitIdentity is the partitioning-invariance contract: one
+// partition, two and three partitions, and a checkpoint restored into a
+// chip on three partitions all produce the same cycle count and the same
+// (normalized) snapshot — with and without fault injection, and on one
+// heavy workload whose dispatches the engine hands to its workers.
 func TestExecutorBitIdentity(t *testing.T) {
 	variants := []struct {
 		name   string
 		mutate func(*Config)
 	}{
-		{"parallel", func(c *Config) { c.Executor = "parallel" }},
-		{"parallel-3parts", func(c *Config) { c.Executor = "parallel"; c.Partitions = 3 }},
-		{"repartitioned", func(c *Config) {
-			c.Executor = "parallel"
-			c.Partitions = 3
-			c.RepartitionEvery = 1_500
-		}},
+		{"partitions=2", func(c *Config) { c.Partitions = 2 }},
+		{"partitions=3", func(c *Config) { c.Partitions = 3 }},
 	}
 	// The kmp cells below are light: the small chip ticks too few
 	// components per cycle for a dispatch to pay for a worker handoff, so
-	// the parallel executor runs them inline. This cell stages kmeans into
-	// the SPMs on every hardware thread behind 4-cycle links, so each
-	// dispatch is a four-cycle epoch of busy cores and most are handed to
-	// the workers: partitions run concurrently here, under -race too. Two
-	// Ps start the workers on a single-CPU host as well.
+	// the engine runs them inline. This cell stages kmeans into the SPMs
+	// on every hardware thread behind 4-cycle links, so each dispatch is a
+	// four-cycle epoch of busy cores and most are handed to the workers:
+	// partitions run concurrently here, under -race too. Two Ps start the
+	// workers on a single-CPU host as well.
 	t.Run("handoff", func(t *testing.T) {
 		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 		run := func(mutate func(*Config)) (*Chip, uint64) {
@@ -111,15 +89,15 @@ func TestExecutorBitIdentity(t *testing.T) {
 			}
 			return c, cycles
 		}
-		ref, refCycles := run(func(c *Config) { c.Executor = "serial" })
+		ref, refCycles := run(func(c *Config) { c.Partitions = 1 })
 		refSnap := normalizedSnapshot(t, ref)
 		for _, v := range variants {
 			c, cycles := run(v.mutate)
 			if cycles != refCycles {
-				t.Fatalf("%s: %d cycles, serial %d", v.name, cycles, refCycles)
+				t.Fatalf("%s: %d cycles, one partition %d", v.name, cycles, refCycles)
 			}
 			if snap := normalizedSnapshot(t, c); !bytes.Equal(snap, refSnap) {
-				t.Fatalf("%s: snapshot diverged from serial run:\n%s\nvs\n%s", v.name, snap, refSnap)
+				t.Fatalf("%s: snapshot diverged from the one-partition run:\n%s\nvs\n%s", v.name, snap, refSnap)
 			}
 			if h, d := c.Handoffs(); h == 0 {
 				t.Fatalf("%s: none of %d dispatches handed to the workers", v.name, d)
@@ -130,7 +108,6 @@ func TestExecutorBitIdentity(t *testing.T) {
 		faulty := faulty
 		t.Run(fmt.Sprintf("faults=%t", faulty), func(t *testing.T) {
 			base := SmallConfig()
-			base.Executor = "serial"
 			if faulty {
 				base.Fault = fault.Config{
 					Seed:          42,
@@ -144,7 +121,7 @@ func TestExecutorBitIdentity(t *testing.T) {
 				return kernels.MustNew("kmp", kernels.Config{Seed: 123, Tasks: 12})
 			}
 
-			// Serial reference.
+			// One-partition reference.
 			wRef := mk()
 			ref := New(base, wRef.Mem)
 			ref.Submit(wRef.Tasks)
@@ -171,18 +148,18 @@ func TestExecutorBitIdentity(t *testing.T) {
 					t.Fatalf("%s: %v", v.name, err)
 				}
 				if cycles != refCycles {
-					t.Fatalf("%s: %d cycles, serial %d", v.name, cycles, refCycles)
+					t.Fatalf("%s: %d cycles, one partition %d", v.name, cycles, refCycles)
 				}
 				if snap := normalizedSnapshot(t, c); !bytes.Equal(snap, refSnap) {
-					t.Fatalf("%s: snapshot diverged from serial run:\n%s\nvs\n%s",
+					t.Fatalf("%s: snapshot diverged from the one-partition run:\n%s\nvs\n%s",
 						v.name, snap, refSnap)
 				}
 			}
 
-			// Checkpoint the serial run halfway and resume it in a chip
-			// using the repartitioned parallel executor: the shard-level
-			// snapshot format is executor-independent, so the resumed run
-			// must land on the same final state.
+			// Checkpoint the one-partition run halfway and resume it in a
+			// chip on three partitions: the shard-level snapshot format is
+			// independent of the partition count, so the resumed run must
+			// land on the same final state.
 			mid := refCycles / 2
 			wInt := mk()
 			intr := New(base, wInt.Mem)
@@ -191,9 +168,7 @@ func TestExecutorBitIdentity(t *testing.T) {
 			blob := intr.Checkpoint().Encode()
 
 			resCfg := base
-			resCfg.Executor = "parallel"
 			resCfg.Partitions = 3
-			resCfg.RepartitionEvery = 1_000
 			wRes := mk()
 			res := New(resCfg, wRes.Mem)
 			res.Submit(wRes.Tasks)
@@ -212,10 +187,10 @@ func TestExecutorBitIdentity(t *testing.T) {
 				t.Fatal(err)
 			}
 			if resCycles != refCycles {
-				t.Fatalf("restored repartitioned run: %d cycles, serial %d", resCycles, refCycles)
+				t.Fatalf("restored three-partition run: %d cycles, one partition %d", resCycles, refCycles)
 			}
 			if snap := normalizedSnapshot(t, res); !bytes.Equal(snap, refSnap) {
-				t.Fatalf("restored repartitioned run: snapshot diverged from serial run")
+				t.Fatalf("restored three-partition run: snapshot diverged from the one-partition run")
 			}
 		})
 	}

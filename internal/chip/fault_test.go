@@ -8,12 +8,12 @@ import (
 	"smarco/internal/kernels"
 )
 
-func faultyConfig(parallel bool) Config {
+func faultyConfig(parts int) Config {
 	cfg := SmallConfig()
 	cfg.SubRings = 2
 	cfg.CoresPerSub = 4
 	cfg.MCs = 2
-	cfg.Parallel = parallel
+	cfg.Partitions = parts
 	cfg.Fault = fault.Config{
 		Seed:          7,
 		LinkFaultRate: 1e-3,
@@ -23,31 +23,31 @@ func faultyConfig(parallel bool) Config {
 	return cfg
 }
 
-func runFaulty(t *testing.T, parallel bool) (Metrics, *fault.Stats) {
+func runFaulty(t *testing.T, parts int) (Metrics, *fault.Stats) {
 	t.Helper()
 	w := kernels.MustNew("wordcount", kernels.Config{Seed: 41, Tasks: 24, Scale: 512})
-	c, err := Build(faultyConfig(parallel), w.Mem)
+	c, err := Build(faultyConfig(parts), w.Mem)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Submit(w.Tasks)
 	if _, err := c.Run(30_000_000); err != nil {
-		t.Fatalf("parallel=%v: %v", parallel, err)
+		t.Fatalf("parts=%d: %v", parts, err)
 	}
 	if err := w.Check(); err != nil {
-		t.Fatalf("parallel=%v: output corrupted under fault injection: %v", parallel, err)
+		t.Fatalf("parts=%d: output corrupted under fault injection: %v", parts, err)
 	}
 	return c.Metrics(), c.FaultStats()
 }
 
 // The headline RAS guarantee: with faults active, a run is bit-identical
-// between the serial and the partition-parallel executor — same cycle count,
-// same instruction count, same fault history.
+// on one partition and on two — same cycle count, same instruction count,
+// same fault history.
 func TestFaultRunDeterministicAcrossExecutors(t *testing.T) {
-	serial, sStats := runFaulty(t, false)
-	parallel, pStats := runFaulty(t, true)
-	if serial != parallel {
-		t.Fatalf("metrics diverged between executors:\nserial:   %+v\nparallel: %+v", serial, parallel)
+	one, sStats := runFaulty(t, 1)
+	two, pStats := runFaulty(t, 2)
+	if one != two {
+		t.Fatalf("metrics diverged between partition counts:\none: %+v\ntwo: %+v", one, two)
 	}
 	if sStats.CoreKills.Load() != 1 {
 		t.Fatalf("expected exactly 1 core kill, got %d", sStats.CoreKills.Load())
@@ -55,7 +55,7 @@ func TestFaultRunDeterministicAcrossExecutors(t *testing.T) {
 	if sStats.CoreKills.Load() != pStats.CoreKills.Load() ||
 		sStats.Retransmits.Load() != pStats.Retransmits.Load() ||
 		sStats.ECCCorrected.Load() != pStats.ECCCorrected.Load() {
-		t.Fatal("fault histories diverged between executors")
+		t.Fatal("fault histories diverged between partition counts")
 	}
 }
 
@@ -64,7 +64,7 @@ func TestFaultRunDeterministicAcrossExecutors(t *testing.T) {
 func TestFaultSeedSelectsHistory(t *testing.T) {
 	run := func(seed uint64) Metrics {
 		w := kernels.MustNew("kmp", kernels.Config{Seed: 43, Tasks: 16, Scale: 512})
-		cfg := faultyConfig(false)
+		cfg := faultyConfig(1)
 		cfg.Fault.Seed = seed
 		cfg.Fault.KillCores = 0 // isolate the link/DRAM streams
 		c, err := Build(cfg, w.Mem)
@@ -93,7 +93,7 @@ func TestFaultSeedSelectsHistory(t *testing.T) {
 // Killing a core must not lose tasks: everything still completes and
 // verifies, and the migration counters show the recovery actually ran.
 func TestCoreKillMigratesAndVerifies(t *testing.T) {
-	m, st := runFaulty(t, false)
+	m, st := runFaulty(t, 1)
 	if m.CoresKilled != 1 {
 		t.Fatalf("CoresKilled = %d, want 1", m.CoresKilled)
 	}
@@ -111,7 +111,7 @@ func TestCoreKillMigratesAndVerifies(t *testing.T) {
 // instead of silently burning the whole cycle budget.
 func TestWedgedChipTripsWatchdog(t *testing.T) {
 	w := kernels.MustNew("wordcount", kernels.Config{Seed: 41, Tasks: 8, Scale: 256})
-	cfg := faultyConfig(false)
+	cfg := faultyConfig(1)
 	cfg.Fault = fault.Config{Seed: 7, LinkFaultRate: 1, MaxRetransmit: 2}
 	cfg.WatchdogCycles = 2_000
 	c, err := Build(cfg, w.Mem)

@@ -98,8 +98,8 @@ func TestGoldenSnapshots(t *testing.T) {
 	for _, name := range kernels.Names {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			// Each kernel's run is an independent serial simulation with a
-			// deterministic snapshot; run them concurrently.
+			// Each kernel's run is an independent one-partition simulation
+			// with a deterministic snapshot; run them concurrently.
 			t.Parallel()
 			w := kernels.MustNew(name, kernels.Config{Seed: 11, Tasks: 8})
 			c := New(SmallConfig(), w.Mem)

@@ -15,14 +15,14 @@ import (
 )
 
 // lookaheadSnapshot normalizes away execution-mode facts that legitimately
-// vary across lookahead settings and executors — the executor, the epoch
-// count, the effective window, the partition assignment. Everything else
-// (cycles, metrics, per-shard tick counts) must be bit-identical.
+// vary across lookahead settings and partition counts — the partition
+// count, the epoch count, the effective window, the partition assignment.
+// Everything else (cycles, metrics, per-shard tick counts) must be
+// bit-identical.
 func lookaheadSnapshot(t *testing.T, c *Chip, kernel string) []byte {
 	t.Helper()
 	s := c.Snapshot("lookahead", kernel)
 	s.Chip.Parallel = false
-	s.Chip.Executor = ""
 	s.Chip.Lookahead = 0
 	s.Epochs = 0
 	for i := range s.Load {
@@ -30,7 +30,7 @@ func lookaheadSnapshot(t *testing.T, c *Chip, kernel string) []byte {
 	}
 	// Windows are a pure function of the wiring and the Lookahead cap, but
 	// the per-shard Blocks counts (and the cap's effect on the windows) are
-	// executor facts like Epochs: normalize the whole report away.
+	// wall-time facts like Epochs: normalize the whole report away.
 	s.Windows = nil
 	raw, err := json.Marshal(s)
 	if err != nil {
@@ -52,9 +52,9 @@ func lookaheadFaultConfig() fault.Config {
 
 // TestLookaheadConformance is the tentpole contract at chip level: on a
 // LinkLatency-4 machine, every kernel produces the identical cycle count
-// and normalized snapshot for lookahead 1, 2, 4, and auto, under both
-// executors, with and without fault injection. The reference is always
-// serial lookahead 1 — the classic cycle-by-cycle executor.
+// and normalized snapshot for lookahead 1, 2, 4, and auto, on one and two
+// partitions, with and without fault injection. The reference is always
+// lookahead 1 on one partition — classic cycle-by-cycle execution.
 func TestLookaheadConformance(t *testing.T) {
 	names := kernels.Names
 	if testing.Short() {
@@ -70,7 +70,6 @@ func TestLookaheadConformance(t *testing.T) {
 						return kernels.MustNew(kn, kernels.Config{Seed: 7, Tasks: 4})
 					}
 					base := SmallConfig()
-					base.Executor = "serial"
 					base.LinkLatency = 4
 					base.Lookahead = 1
 					if faulty {
@@ -89,18 +88,18 @@ func TestLookaheadConformance(t *testing.T) {
 					refSnap := lookaheadSnapshot(t, ref, kn)
 
 					for _, look := range []uint64{1, 2, 4, 0} { // 0 = auto
-						for _, exec := range []string{"serial", "parallel"} {
-							if look == 1 && exec == "serial" {
+						for _, parts := range []int{1, 2} {
+							if look == 1 && parts == 1 {
 								continue // that is the reference
 							}
 							cfg := base
 							cfg.Lookahead = look
-							cfg.Executor = exec
+							cfg.Partitions = parts
 							w := mk()
 							c := New(cfg, w.Mem)
 							c.Submit(w.Tasks)
 							cycles, err := c.Run(30_000_000)
-							name := fmt.Sprintf("look=%d exec=%s", look, exec)
+							name := fmt.Sprintf("look=%d parts=%d", look, parts)
 							if err != nil {
 								t.Fatalf("%s: %v", name, err)
 							}
@@ -170,18 +169,17 @@ func TestTimelineLookaheadIdentical(t *testing.T) {
 
 // TestLookaheadCheckpointCrossSetting: checkpoints taken at epoch barriers
 // carry sealed in-flight deliveries with absolute release cycles, so a
-// snapshot from a full-lookahead serial run restores into a lookahead-1
-// parallel chip (and vice versa) and converges on the identical final
-// state.
+// snapshot from a full-lookahead one-partition run restores into a
+// lookahead-1 chip on three partitions (and vice versa) and converges on
+// the identical final state.
 func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 	mk := func() *kernels.Workload {
 		return kernels.MustNew("kmp", kernels.Config{Seed: 123, Tasks: 8})
 	}
 	base := SmallConfig()
-	base.Executor = "serial"
 	base.LinkLatency = 4
 
-	// Reference: uninterrupted serial run at full lookahead.
+	// Reference: uninterrupted one-partition run at full lookahead.
 	wRef := mk()
 	ref := New(base, wRef.Mem)
 	ref.Submit(wRef.Tasks)
@@ -195,11 +193,10 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 		name     string
 		srcLook  uint64
 		dstLook  uint64
-		dstExec  string
 		dstParts int
 	}{
-		{"full-to-one-parallel", 0, 1, "parallel", 3},
-		{"one-to-full-serial", 1, 0, "serial", 0},
+		{"full-to-one-parallel", 0, 1, 3},
+		{"one-to-full-serial", 1, 0, 1},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -221,7 +218,6 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 
 			dstCfg := base
 			dstCfg.Lookahead = tc.dstLook
-			dstCfg.Executor = tc.dstExec
 			dstCfg.Partitions = tc.dstParts
 			wDst := mk()
 			dst := New(dstCfg, wDst.Mem)
@@ -256,7 +252,6 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 // run multi-cycle blocks on this machine.
 func heteroTestConfig() Config {
 	cfg := SmallConfig()
-	cfg.Executor = "serial"
 	cfg.DRAMLatency = 8
 	cfg.MainRingLatency = 2
 	cfg.SubRingLatency = 2
@@ -266,10 +261,10 @@ func heteroTestConfig() Config {
 
 // TestHeteroLatencyConformance is the per-shard-window contract at chip
 // level: on the heterogeneous DRAM-8/NoC-2/credit-1 machine, every kernel
-// produces the identical cycle count and normalized snapshot under both
-// executors, across SetLookahead clamps, with and without fault injection.
-// The reference is the serial run at lookahead 1 — cycle-by-cycle
-// execution of the same machine.
+// produces the identical cycle count and normalized snapshot on one and
+// two partitions, across SetLookahead clamps, with and without fault
+// injection. The reference is the one-partition run at lookahead 1 —
+// cycle-by-cycle execution of the same machine.
 func TestHeteroLatencyConformance(t *testing.T) {
 	names := kernels.Names
 	if testing.Short() {
@@ -302,23 +297,23 @@ func TestHeteroLatencyConformance(t *testing.T) {
 					refSnap := lookaheadSnapshot(t, ref, kn)
 
 					for _, tc := range []struct {
-						look uint64
-						exec string
+						look  uint64
+						parts int
 					}{
-						{1, "serial"}, // cycle-by-cycle, rerun
-						{4, "serial"}, // DRAM windows clamped 8 -> 4
-						{4, "parallel"},
-						{0, "serial"}, // full windows
-						{0, "parallel"},
+						{1, 1}, // cycle-by-cycle, rerun
+						{4, 1}, // DRAM windows clamped 8 -> 4
+						{4, 2},
+						{0, 1}, // full windows
+						{0, 2},
 					} {
 						cfg := base
 						cfg.Lookahead = tc.look
-						cfg.Executor = tc.exec
+						cfg.Partitions = tc.parts
 						w := mk()
 						c := New(cfg, w.Mem)
 						c.Submit(w.Tasks)
 						cycles, err := c.Run(30_000_000)
-						name := fmt.Sprintf("look=%d exec=%s", tc.look, tc.exec)
+						name := fmt.Sprintf("look=%d parts=%d", tc.look, tc.parts)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
 						}
@@ -341,8 +336,8 @@ func TestHeteroLatencyConformance(t *testing.T) {
 
 // TestHeteroCheckpointCrossSetting: a checkpoint taken mid-run on the
 // heterogeneous machine — at a cycle deliberately off the 8-cycle done
-// grid — restores into a chip with a different executor and lookahead
-// cap, and converges on the identical final state. "global" names the
+// grid — restores into a chip with a different partition count and
+// lookahead cap, and converges on the identical final state. "global" names the
 // global-min window, lookahead 1 on this machine (its credit links take
 // one cycle), and "per-shard" full windows. Per-shard clocks are
 // ephemeral (all shards realign at window ends and budget stops), so the
@@ -353,7 +348,7 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 	}
 	base := heteroTestConfig()
 
-	// Reference: uninterrupted per-shard serial run at full windows.
+	// Reference: uninterrupted per-shard one-partition run at full windows.
 	wRef := mk()
 	ref := New(base, wRef.Mem)
 	ref.Submit(wRef.Tasks)
@@ -367,12 +362,11 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 		name     string
 		srcLook  uint64
 		dstLook  uint64
-		dstExec  string
 		dstParts int
 	}{
-		{"per-shard-to-global-parallel", 0, 1, "parallel", 3},
-		{"global-to-per-shard-serial", 1, 0, "serial", 0},
-		{"per-shard-to-clamped-parallel", 0, 4, "parallel", 2},
+		{"per-shard-to-global-parallel", 0, 1, 3},
+		{"global-to-per-shard-serial", 1, 0, 1},
+		{"per-shard-to-clamped-parallel", 0, 4, 2},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
@@ -393,7 +387,6 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 
 			dstCfg := base
 			dstCfg.Lookahead = tc.dstLook
-			dstCfg.Executor = tc.dstExec
 			dstCfg.Partitions = tc.dstParts
 			wDst := mk()
 			dst := New(dstCfg, wDst.Mem)
@@ -441,7 +434,6 @@ func FuzzEpochBoundaries(f *testing.F) {
 			return kernels.MustNew("kmp", kernels.Config{Seed: 11, Tasks: 3})
 		}
 		base := SmallConfig()
-		base.Executor = "serial"
 		base.LinkLatency = linkLat
 		base.Lookahead = 1
 
@@ -514,7 +506,6 @@ func FuzzHeteroWindowBoundaries(f *testing.F) {
 			return kernels.MustNew("kmp", kernels.Config{Seed: 11, Tasks: 3})
 		}
 		base := SmallConfig()
-		base.Executor = "serial"
 		base.DRAMLatency = dram
 		base.MainRingLatency = ring
 		base.SubRingLatency = ring

@@ -61,7 +61,7 @@ func (c *Chip) WriteTrace(w io.Writer) error {
 }
 
 // EnableProfile installs the engine's per-shard wall-time profiler
-// (tick/port/commit attribution under either executor). Call before
+// (tick/port/commit attribution at any partition count). Call before
 // running; read the result with Profile. Shards are labeled at
 // registration (sub0..subN, mc0..mcN, mainring, sched — or mesh), so
 // profile rows arrive named.
@@ -79,7 +79,8 @@ func (c *Chip) Profile() *sim.Profile { return c.prof }
 // LoadReport returns the engine's deterministic per-shard load picture:
 // component counts, component-tick counts with engine-wide shares, and the
 // current shard→partition assignment. Available on every chip, profiling
-// enabled or not; tick counts are identical across hosts and executors.
+// enabled or not; tick counts are identical across hosts and partition
+// counts.
 func (c *Chip) LoadReport() []sim.ShardLoad { return c.eng.LoadReport() }
 
 // SnapshotChip summarizes the configuration a snapshot was taken on.
@@ -90,8 +91,7 @@ type SnapshotChip struct {
 	Threads     int    `json:"threads"`
 	MCs         int    `json:"mcs"`
 	Topology    string `json:"topology"`
-	Parallel    bool   `json:"parallel"` // effective executor for this run
-	Executor    string `json:"executor,omitempty"`
+	Parallel    bool   `json:"parallel"` // Config.EffectiveParallel for this run
 	// LinkLatency is the configured cross-shard link delay (0 = historical
 	// 1-cycle links); Lookahead is the effective epoch window the engine
 	// ran with — the conservative window derived from the link latencies,
@@ -136,15 +136,17 @@ type Snapshot struct {
 	Metrics       Metrics      `json:"metrics"`
 	// Load is the deterministic per-shard load report (component-tick
 	// counts and shares plus the shard→partition assignment). Tick counts
-	// and shares are identical across hosts and executors; the Partition
-	// column reflects this run's assignment (all zero under serial).
+	// and shares are identical across hosts and partition counts; the
+	// Partition column reflects this run's assignment (all zero on one
+	// partition).
 	Load    []sim.ShardLoad        `json:"load,omitempty"`
 	Profile []sim.PartitionProfile `json:"profile,omitempty"`
 	// Windows is the per-shard lookahead-window report (DESIGN.md §14),
 	// present whenever some shard may fuse multi-cycle blocks: each
 	// shard's safe window (a pure function of the wiring and the Lookahead
 	// cap — the window histogram) and the fused blocks it executed (an
-	// executor-dependent wall-time diagnostic, like Epochs).
+	// wall-time diagnostic that depends on the partition count, like
+	// Epochs).
 	Windows []sim.ShardWindow `json:"windows,omitempty"`
 	// TraceDropped counts trace events lost to the buffer cap (only
 	// meaningful with tracing enabled; 0 means the trace is complete).
@@ -171,7 +173,6 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 			MCs:             c.Config.MCs,
 			Topology:        topo,
 			Parallel:        c.Config.EffectiveParallel(),
-			Executor:        c.Config.Executor,
 			LinkLatency:     c.Config.LinkLatency,
 			DRAMLatency:     c.Config.DRAMLatency,
 			MainRingLatency: c.Config.MainRingLatency,

@@ -6,10 +6,10 @@
 //
 // The schedule is planned in task space by internal/sampling and never
 // depends on measured rates, so a sampled run is deterministic and its
-// estimate is invariant across engine executors, lookahead settings, and
+// estimate is invariant across partition counts, lookahead settings, and
 // run-pool sizes: window boundary cycles are observed on the engine's
-// absolute done-condition grid (sim.Engine.Run), which every executor and
-// lookahead override shares.
+// absolute done-condition grid (sim.Engine.Run), which every partition
+// count and lookahead override shares.
 package chip
 
 import (
@@ -59,7 +59,8 @@ type winProgress struct {
 	// Inner-region markers: engine cycles at which the completion count
 	// crossed base+margin (loAt) and base+batch-margin (hiAt). Crossings are
 	// observed on the engine's absolute done-condition grid, so they are
-	// identical across executors, lookahead settings, and budget slicing.
+	// identical across partition counts, lookahead settings, and budget
+	// slicing.
 	loSet, hiSet bool
 	loAt, hiAt   uint64
 }
@@ -210,8 +211,8 @@ func (c *Chip) RunSampled(maxCycles uint64) (uint64, error) {
 // instead biases heterogeneous kernels high by 10–30%. Batches too small
 // for a saturated inner region fall back to the whole-window rate.
 // Threshold crossings are observed on the engine's absolute done-condition
-// grid, keeping the measured rate identical across executors, lookahead
-// settings, and budget slicing.
+// grid, keeping the measured rate identical across partition counts,
+// lookahead settings, and budget slicing.
 func (c *Chip) runWindow(maxCycles uint64) error {
 	s := c.samp
 	sp := s.plan.Spans[s.span]

@@ -129,7 +129,7 @@ func TestSamplingErrorBounds(t *testing.T) {
 		mkCfg := samplingBoundsChips[chipName]
 		for _, kernel := range kernels.Names {
 			// Short mode and race builds run the same trimmed subset: these
-			// are serial-executor accuracy runs, so the detector only adds
+			// are one-partition accuracy runs, so the detector only adds
 			// wall clock (~20×), and the full matrix runs un-raced in the
 			// no-short suite (see race_on_test.go).
 			if (testing.Short() || raceDetectorOn) && kernel != "kmp" && kernel != "wordcount" {

@@ -164,7 +164,7 @@ func TestSampledWindowEntryFingerprints(t *testing.T) {
 }
 
 // TestSampledEstimateInvariance: the estimate, the per-window rates, and
-// the final memory image are bit-identical across engine executors and
+// the final memory image are bit-identical across partition counts and
 // lookahead settings — on a uniform LinkLatency-4 machine and on the
 // heterogeneous DRAM-8/NoC-2/credit-1 machine — and
 // across budget-sliced resumption. Window boundaries are observed on the
@@ -173,10 +173,10 @@ func TestSampledWindowEntryFingerprints(t *testing.T) {
 // cycle-by-cycle reference.
 func TestSampledEstimateInvariance(t *testing.T) {
 	tasks := 720
-	run := func(exec string, look uint64, hetero bool, slices []uint64) (*Chip, uint64) {
+	run := func(parts int, look uint64, hetero bool, slices []uint64) (*Chip, uint64) {
 		cfg := sampTinyConfig()
 		cfg.Sampling = sampDefaultCadence
-		cfg.Executor = exec
+		cfg.Partitions = parts
 		cfg.LinkLatency = 4
 		cfg.Lookahead = look
 		if hetero {
@@ -206,29 +206,29 @@ func TestSampledEstimateInvariance(t *testing.T) {
 		return c, est
 	}
 
-	ref, refEst := run("serial", 1, false, nil)
-	refHet, refHetEst := run("serial", 1, true, nil) // hetero machine, cycle-by-cycle
+	ref, refEst := run(1, 1, false, nil)
+	refHet, refHetEst := run(1, 1, true, nil) // hetero machine, cycle-by-cycle
 	for _, tc := range []struct {
 		name   string
-		exec   string
+		parts  int
 		look   uint64
 		hetero bool
 		slices []uint64
 	}{
-		{name: "serial-auto", exec: "serial"},
-		{name: "parallel-look1", exec: "parallel", look: 1},
-		{name: "parallel-auto", exec: "parallel"},
-		{name: "serial-auto-sliced", exec: "serial", slices: []uint64{100_003, 900_001}},
-		{name: "hetero-per-shard-serial", exec: "serial", hetero: true},
-		{name: "hetero-per-shard-parallel", exec: "parallel", hetero: true},
-		{name: "hetero-per-shard-look4", exec: "serial", look: 4, hetero: true},
-		{name: "hetero-per-shard-sliced", exec: "serial", hetero: true, slices: []uint64{100_003, 900_001}},
+		{name: "serial-auto", parts: 1},
+		{name: "parallel-look1", parts: 2, look: 1},
+		{name: "parallel-auto", parts: 2},
+		{name: "serial-auto-sliced", parts: 1, slices: []uint64{100_003, 900_001}},
+		{name: "hetero-per-shard-serial", parts: 1, hetero: true},
+		{name: "hetero-per-shard-parallel", parts: 2, hetero: true},
+		{name: "hetero-per-shard-look4", parts: 1, look: 4, hetero: true},
+		{name: "hetero-per-shard-sliced", parts: 1, hetero: true, slices: []uint64{100_003, 900_001}},
 	} {
 		wantC, wantEst := ref, refEst
 		if tc.hetero {
 			wantC, wantEst = refHet, refHetEst
 		}
-		c, est := run(tc.exec, tc.look, tc.hetero, tc.slices)
+		c, est := run(tc.parts, tc.look, tc.hetero, tc.slices)
 		if est != wantEst {
 			t.Fatalf("%s: estimate %d, reference %d", tc.name, est, wantEst)
 		}

@@ -30,7 +30,7 @@ type Sample struct {
 //
 // maxCycles bounds the TOTAL cycles executed (not cycles since the last
 // sample), and each interval executes under Engine.Run, so the progress
-// watchdog, panic recovery, and the parallel executor all work exactly as
+// watchdog, panic recovery, and the partition workers all work exactly as
 // they do in a plain Run: a wedged workload stops with the watchdog's
 // stalled-component diagnostic instead of sampling forever. Every snapshot
 // goes through Chip.Metrics, which settles quiescence-skipped components

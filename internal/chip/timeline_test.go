@@ -77,26 +77,26 @@ func TestTimelineSurfacesWatchdogDiagnostic(t *testing.T) {
 }
 
 // TestTimelineSerialParallelIdentical: mid-run snapshots settle the
-// quiescence machinery first, so per-interval metrics are exact under
-// either executor. A quiescence-heavy workload (staggered releases leave
+// quiescence machinery first, so per-interval metrics are exact at any
+// partition count. A quiescence-heavy workload (staggered releases leave
 // most of the chip asleep between bursts) must produce byte-identical
-// timeline CSVs serial vs parallel.
+// timeline CSVs on one partition and on two.
 func TestTimelineSerialParallelIdentical(t *testing.T) {
-	run := func(parallel bool) string {
+	run := func(parts int) string {
 		w := kernels.MustNew("rnc", kernels.Config{Seed: 47, Tasks: 8})
 		for i := range w.Tasks {
 			w.Tasks[i].ReleaseCycle = uint64(i) * 3_000 // bursts with idle gaps
 		}
 		cfg := SmallConfig()
-		cfg.Parallel = parallel
+		cfg.Partitions = parts
 		c := New(cfg, w.Mem)
 		c.Submit(w.Tasks)
 		samples, _, err := c.RunWithTimeline(3_000_000, 2_000)
 		if err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
+			t.Fatalf("parts=%d: %v", parts, err)
 		}
 		if err := w.Check(); err != nil {
-			t.Fatalf("parallel=%v: %v", parallel, err)
+			t.Fatalf("parts=%d: %v", parts, err)
 		}
 		var sb strings.Builder
 		if err := WriteTimelineCSV(&sb, samples); err != nil {
@@ -104,10 +104,10 @@ func TestTimelineSerialParallelIdentical(t *testing.T) {
 		}
 		return sb.String()
 	}
-	serial := run(false)
-	parallel := run(true)
-	if serial != parallel {
-		t.Fatalf("timelines diverged\nserial:\n%s\nparallel:\n%s", serial, parallel)
+	one := run(1)
+	two := run(2)
+	if one != two {
+		t.Fatalf("timelines diverged\none partition:\n%s\ntwo partitions:\n%s", one, two)
 	}
 }
 

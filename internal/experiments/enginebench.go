@@ -61,7 +61,7 @@ func (v EngineBenchVariant) Hetero() bool {
 
 // MachineKey names the simulated machine the variant defines — config
 // plus every latency that shapes the timing model, excluding pure
-// executor switches (Lookahead, parallel). Runs with equal
+// wall-time settings (Lookahead, the partition count). Runs with equal
 // keys must report bit-identical simulated cycle counts.
 func (v EngineBenchVariant) MachineKey(config string) string {
 	key := fmt.Sprintf("%s/linklat=%d", config, max(v.LinkLatency, 1))
@@ -93,8 +93,10 @@ var EngineBenchVariants = []EngineBenchVariant{
 // EngineRun is one engine-throughput measurement. CyclesPerSec is the
 // engine's headline metric: simulated cycles per wall-clock second.
 type EngineRun struct {
-	Config   string `json:"config"`
-	Parallel bool   `json:"parallel"`
+	Config string `json:"config"`
+	// Parallel records chip.Config.EffectiveParallel: false for a run on
+	// one partition, true for one partition per CPU.
+	Parallel bool `json:"parallel"`
 	// LinkLatency and Lookahead describe the timing-model variant; both
 	// absent means the classic machine (1-cycle links, barrier every
 	// cycle). Lookahead records the narrowest effective shard window the
@@ -117,8 +119,8 @@ type EngineRun struct {
 	Cycles          uint64  `json:"cycles"`
 	WallSeconds     float64 `json:"wall_seconds"`
 	CyclesPerSec    float64 `json:"cycles_per_sec"`
-	// Handoffs is the share of the parallel executor's dispatches it
-	// handed to its workers (the rest ran inline on the caller; see
+	// Handoffs is the share of the engine's dispatches it handed to its
+	// workers (the rest ran inline on the caller; see
 	// sim.Engine.Handoffs). Set on parallel rows whose run started
 	// workers, absent elsewhere.
 	Handoffs *float64 `json:"handoffs,omitempty"`
@@ -140,17 +142,19 @@ const EngineBenchWorkload = "kmp seed=1 tasks=2*cores scale=512 budget=50M"
 
 // MeasureEngine runs the reference workload (kmp, two tasks per core,
 // scale 512, seed 1 — memory-bound and chip-wide, so every component class
-// participates) on the named configuration and times the simulation loop.
-// The simulated cycle count is deterministic; only wall time varies.
-func MeasureEngine(config string, parallel bool) (EngineRun, error) {
-	run, _, err := MeasureEngineSnapshot(config, parallel)
+// participates) on the named configuration at the given partition count
+// (chip.Config.Partitions: 1, or 0 for one per CPU) and times the
+// simulation loop. The simulated cycle count is deterministic; only wall
+// time varies.
+func MeasureEngine(config string, partitions int) (EngineRun, error) {
+	run, _, err := MeasureEngineSnapshot(config, partitions)
 	return run, err
 }
 
 // MeasureEngineVariant is MeasureEngineSnapshot on an explicit timing-model
 // variant (link latency + lookahead cap).
-func MeasureEngineVariant(config string, parallel bool, v EngineBenchVariant) (EngineRun, chip.Snapshot, error) {
-	return measureEngine(config, parallel, v)
+func MeasureEngineVariant(config string, partitions int, v EngineBenchVariant) (EngineRun, chip.Snapshot, error) {
+	return measureEngine(config, partitions, v)
 }
 
 // MeasureEngineVariantBest repeats the measurement and keeps the run with
@@ -159,14 +163,14 @@ func MeasureEngineVariant(config string, parallel bool, v EngineBenchVariant) (E
 // percent of scheduler noise. Simulated cycle counts must be bit-identical
 // across repeats (they are pure functions of the machine); a mismatch is
 // reported as an error, so the repeats double as a determinism check.
-func MeasureEngineVariantBest(config string, parallel bool, v EngineBenchVariant, repeats int) (EngineRun, chip.Snapshot, error) {
+func MeasureEngineVariantBest(config string, partitions int, v EngineBenchVariant, repeats int) (EngineRun, chip.Snapshot, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
 	var best EngineRun
 	var bestSnap chip.Snapshot
 	for i := 0; i < repeats; i++ {
-		run, snap, err := measureEngine(config, parallel, v)
+		run, snap, err := measureEngine(config, partitions, v)
 		if err != nil {
 			return EngineRun{}, chip.Snapshot{}, err
 		}
@@ -188,16 +192,16 @@ func MeasureEngineVariantBest(config string, parallel bool, v EngineBenchVariant
 // throughput number tracked in BENCH_engine.json, and profiling taxes
 // the hot loop with two clock reads per partition per phase. Attribution
 // profiles come from runs that opt in (smarcosim -profile).
-func MeasureEngineSnapshot(config string, parallel bool) (EngineRun, chip.Snapshot, error) {
-	return measureEngine(config, parallel, EngineBenchVariant{})
+func MeasureEngineSnapshot(config string, partitions int) (EngineRun, chip.Snapshot, error) {
+	return measureEngine(config, partitions, EngineBenchVariant{})
 }
 
-func measureEngine(config string, parallel bool, v EngineBenchVariant) (EngineRun, chip.Snapshot, error) {
+func measureEngine(config string, partitions int, v EngineBenchVariant) (EngineRun, chip.Snapshot, error) {
 	cfg, err := EngineChipConfig(config)
 	if err != nil {
 		return EngineRun{}, chip.Snapshot{}, err
 	}
-	cfg.Parallel = parallel
+	cfg.Partitions = partitions
 	cfg.LinkLatency = v.LinkLatency
 	cfg.Lookahead = v.Lookahead
 	cfg.DRAMLatency = v.DRAMLatency
@@ -221,7 +225,7 @@ func measureEngine(config string, parallel bool, v EngineBenchVariant) (EngineRu
 	}
 	run := EngineRun{
 		Config:          config,
-		Parallel:        parallel,
+		Parallel:        cfg.EffectiveParallel(),
 		LinkLatency:     v.LinkLatency,
 		DRAMLatency:     v.DRAMLatency,
 		MainRingLatency: v.MainRingLatency,
@@ -247,7 +251,7 @@ func measureEngine(config string, parallel bool, v EngineBenchVariant) (EngineRu
 	if maxWin > c.Lookahead() {
 		run.MaxWindow = maxWin
 	}
-	label := fmt.Sprintf("engine %s parallel=%v", config, parallel)
+	label := fmt.Sprintf("engine %s parallel=%v", config, run.Parallel)
 	if v.LinkLatency != 0 || v.Lookahead != 0 {
 		label = fmt.Sprintf("%s linklat=%d lookahead=%d", label, v.LinkLatency, v.Lookahead)
 	}

@@ -101,11 +101,11 @@ func buildStagedWorkload(s Scale, name string, seed uint64) *kernels.Workload {
 
 // runOnChip executes a workload on a chip built from cfg and returns the
 // chip (for metrics) after verifying the output. Harness runs always use
-// the serial executor: the sweeps parallelize across whole simulations
-// (see pool), where one serial simulation per CPU beats splitting each
-// simulation over the same CPUs. Results are identical either way.
+// one partition: the sweeps parallelize across whole simulations (see
+// pool), where one single-partition simulation per CPU beats splitting
+// each simulation over the same CPUs. Results are identical either way.
 func runOnChip(cfg chip.Config, w *kernels.Workload, budget uint64) (*chip.Chip, error) {
-	cfg.Executor = "serial"
+	cfg.Partitions = 1
 	c := chip.New(cfg, w.Mem)
 	c.Submit(w.Tasks)
 	if _, err := c.Run(budget); err != nil {

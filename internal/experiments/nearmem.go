@@ -69,10 +69,10 @@ func NearMemoryMatch(scale Scale, seed uint64) (NearMemResult, error) {
 
 // nearMemOffload is the offload path: the host sends one match command per
 // shard of w to the controller owning its text, and only counts cross the
-// chip. It runs on the serial executor, as runOnChip does, and checks every
+// chip. It runs on one partition, as runOnChip does, and checks every
 // count against the KMP reference.
 func nearMemOffload(cfg chip.Config, w *kernels.Workload, budget uint64) (*chip.Chip, error) {
-	cfg.Executor = "serial"
+	cfg.Partitions = 1
 	c := chip.New(cfg, w.Mem)
 	pattern := [8]byte{'a', 'b', 'a', 'b'}
 	want := map[uint64]uint64{}

@@ -3,8 +3,8 @@ package experiments
 import "smarco/internal/runner"
 
 // pool runs every harness's independent simulations side by side, one
-// whole chip or Xeon-model run per worker (chip runs on the serial
-// executor — see runOnChip). Every harness places results by grid
+// whole chip or Xeon-model run per worker (chip runs on one partition —
+// see runOnChip). Every harness places results by grid
 // position, so the output is identical for any worker count.
 var pool = runner.New(0)
 

@@ -36,8 +36,8 @@ func engineSampledWorkload(cfg chip.Config) *kernels.Workload {
 
 // MeasureEngineSampled runs the sampled-vs-detailed A/B on the named
 // configuration: the same workload once at full detail and once under cad
-// (zero value selects EngineSampledCadence), both on the serial executor
-// and the 50M-cycle budget. The sampled run's EngineRun carries the
+// (zero value selects EngineSampledCadence), both on one partition and
+// the 50M-cycle budget. The sampled run's EngineRun carries the
 // extrapolated cycle count, its confidence half-width, and the wall-clock
 // speedup over the paired detailed run.
 func MeasureEngineSampled(config string, cad sampling.Config) (detailed, sampled EngineRun, snaps []chip.Snapshot, err error) {
@@ -45,7 +45,7 @@ func MeasureEngineSampled(config string, cad sampling.Config) (detailed, sampled
 	if err != nil {
 		return
 	}
-	cfg.Parallel = false
+	cfg.Partitions = 1
 	if !cad.Enabled() {
 		cad = EngineSampledCadence
 	}

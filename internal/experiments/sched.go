@@ -30,7 +30,7 @@ func Fig21Scheduler(scale Scale, seed uint64) ([]Fig21Result, error) {
 	baseCfg.SubRings = 1
 	baseCfg.CoresPerSub = 16
 	baseCfg.MCs = 1
-	baseCfg.Parallel = false
+	baseCfg.Partitions = 1
 
 	tasks := 128
 	pktScale := 48

@@ -5,7 +5,7 @@
 // number) — splitmix64-style mixing, the same generator internal/sim/rng.go
 // uses — so a run's fault history is a function of its configuration alone.
 // No shared mutable RNG state exists, which is what keeps runs bit-identical
-// between the serial executor and the partition-parallel executor: each
+// at every engine partition count: each
 // component derives its own fault stream from values it already owns
 // deterministically (its port-ordering key and its private event counters).
 //

@@ -19,7 +19,7 @@ func mediumChip() chip.Config {
 	cfg.SubRings = 8
 	cfg.CoresPerSub = 8
 	cfg.MCs = 4
-	cfg.Parallel = false
+	cfg.Partitions = 1
 	return cfg
 }
 

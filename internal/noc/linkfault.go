@@ -18,7 +18,7 @@ import (
 // lane budget, modelling a dedicated replay path.
 //
 // Fault decisions hash (router key, cycle, private traversal counter), all
-// of which are identical between the serial and parallel executors, so
+// of which are identical at every engine partition count, so
 // fault histories are bit-reproducible.
 
 // linkRetry is one packet awaiting retransmission.

@@ -323,7 +323,7 @@ func (r *Router) findPriority(in *sim.Port[*Packet], dir int) (int, *Packet, boo
 func (r *Router) downstreamAccepts(dir int) bool {
 	// Committed occupancy plus this router's own sends this cycle: staged
 	// traffic from other routers must not influence the decision, or the
-	// outcome would depend on tick order under the parallel executor.
+	// outcome would depend on tick order across engine partitions.
 	return r.ring.neighborIn(r.pos, dir).CanAcceptFrom(r.key, 1)
 }
 

@@ -2,7 +2,7 @@
 // independent simulations side by side. Every figure harness, the
 // conformance matrix, and smarcobench's suite mode execute dozens of chip
 // or Xeon-model runs that share nothing; the per-simulation winner on most
-// hosts is the serial executor, so the scalable axis is run-level
+// hosts is one engine partition, so the scalable axis is run-level
 // parallelism — one whole simulation per CPU — rather than
 // partition-level parallelism inside each one.
 //

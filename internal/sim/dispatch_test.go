@@ -60,8 +60,8 @@ func receipts(ps ...*pinger) string {
 // wiring, while Run cuts the run into windows as wide as the widest
 // shard's. On the wiring whose cross ports all take one cycle that is one
 // cycle too; on the 8/2/1 triangle it is eight. Either way deliveries land
-// on exactly u+lat, identically under a Step loop and under Run, serially
-// and on 2 and 3 partitions, and neither Epochs nor the per-shard block
+// on exactly u+lat, identically under a Step loop and under Run, on 1, 2
+// and 3 partitions, and neither Epochs nor the per-shard block
 // counters count one-cycle windows.
 func TestFusedSingleCycleEpochs(t *testing.T) {
 	setProcs(t, 2)
@@ -69,8 +69,7 @@ func TestFusedSingleCycleEpochs(t *testing.T) {
 		var ref string
 		for _, parts := range []int{1, 2, 3} {
 			for _, useRun := range []bool{false, true} {
-				e, ps := buildTriangleLat(lat, 0, parts > 1)
-				e.SetMaxPartitions(parts)
+				e, ps := buildTriangleLat(lat, 0, parts)
 				if useRun {
 					if _, err := e.Run(300, nil); !errors.Is(err, ErrBudget) {
 						t.Fatalf("lat=%v parts=%d: %v", lat, parts, err)
@@ -99,7 +98,7 @@ func TestFusedSingleCycleEpochs(t *testing.T) {
 				if ref == "" {
 					ref = got
 				} else if got != ref {
-					t.Fatalf("%s: receipt history diverged from serial Step", name)
+					t.Fatalf("%s: receipt history diverged from the one-partition Step loop", name)
 				}
 				oneCycle := !useRun || lat == [3]uint64{1, 1, 1}
 				if n := e.Epochs(); (n == 0) != oneCycle {
@@ -116,8 +115,8 @@ func TestFusedSingleCycleEpochs(t *testing.T) {
 	}
 }
 
-// orderTicker logs its phases into a log shared across shards (serial
-// executor only).
+// orderTicker logs its phases into a log shared across shards (one
+// partition only).
 type orderTicker struct {
 	name string
 	log  *[]string
@@ -132,7 +131,7 @@ func (o *orderTicker) Commit(uint64) { *o.log = append(*o.log, o.name+":commit")
 func TestSingleCyclePath(t *testing.T) {
 	var log []string
 	x, y := &orderTicker{"x", &log}, &orderTicker{"y", &log}
-	crossed, _, _ := buildPingPong(1, 0, false)
+	crossed, _, _ := buildPingPong(1, 0, 1)
 	for _, tc := range []struct {
 		name string
 		e    *Engine
@@ -159,24 +158,22 @@ func TestWorkersJoinedAfterRun(t *testing.T) {
 		want  func(error) bool
 	}{
 		{"done", func() (*Engine, func() bool) {
-			e, a, _ := buildPingPong(1, 0, true)
+			e, a, _ := buildPingPong(1, 0, 2)
 			return e, func() bool { return a.sent >= 20 }
 		}, func(err error) bool { return err == nil }},
 		{"budget", func() (*Engine, func() bool) {
-			e, _ := buildTriangle(0, true)
-			e.SetMaxPartitions(2)
+			e, _ := buildTriangle(0, 2)
 			return e, nil
 		}, func(err error) bool { return errors.Is(err, ErrBudget) }},
 		{"panic", func() (*Engine, func() bool) {
 			e := NewEngine()
-			e.SetParallel(true)
 			e.SetMaxPartitions(2)
 			e.AddShard("", &panicTicker{name: "core7", at: 50})
 			e.AddShard("", idleTicker{})
 			return e, nil
 		}, func(err error) bool { return err != nil && strings.Contains(err.Error(), "panicked at cycle 50") }},
 		{"watchdog", func() (*Engine, func() bool) {
-			e, a, b := buildPingPong(4, 0, true)
+			e, a, b := buildPingPong(4, 0, 2)
 			a.every, b.every = 0, 0
 			e.Add(&wedgedHealth{})
 			e.SetWatchdog(100)
@@ -206,15 +203,14 @@ func TestWorkersJoinedAfterRun(t *testing.T) {
 
 // TestBudgetSlicedRunsMatchStraightRun: Runs cut into budget slices start
 // and stop their workers at every slice and realign with the done grid,
-// yet reproduce one straight serial Run on the per-shard and the
+// yet reproduce one straight one-partition Run on the per-shard and the
 // one-cycle wirings.
 func TestBudgetSlicedRunsMatchStraightRun(t *testing.T) {
 	setProcs(t, 2)
 	const total = 300
 	for _, lat := range [][3]uint64{{8, 2, 1}, {1, 1, 1}} {
-		run := func(parallel bool, slice uint64) string {
-			e, ps := buildTriangleLat(lat, 0, parallel)
-			e.SetMaxPartitions(2)
+		run := func(parts int, slice uint64) string {
+			e, ps := buildTriangleLat(lat, 0, parts)
 			handOffAll(e)
 			before := runtime.NumGoroutine()
 			for e.Now() < total {
@@ -222,16 +218,16 @@ func TestBudgetSlicedRunsMatchStraightRun(t *testing.T) {
 					t.Fatalf("lat=%v slice=%d: %v", lat, slice, err)
 				}
 			}
-			if parallel {
+			if parts > 1 {
 				checkHandedOff(t, e)
 			}
 			waitGoroutines(t, before)
 			return receipts(ps[:]...)
 		}
-		ref := run(false, total)
+		ref := run(1, total)
 		for _, slice := range []uint64{1, 7, 13, total} {
-			if got := run(true, slice); got != ref {
-				t.Fatalf("lat=%v slice=%d: sliced parallel run diverged from one serial run", lat, slice)
+			if got := run(2, slice); got != ref {
+				t.Fatalf("lat=%v slice=%d: sliced two-partition run diverged from one one-partition run", lat, slice)
 			}
 		}
 	}
@@ -248,36 +244,35 @@ func (sleeper) Tick(now uint64) {
 }
 func (sleeper) Commit(uint64) {}
 
-// TestConcurrentEnginesOversubscribed: four parallel engines of two
-// partitions each share two Ps, so coordinators and workers outnumber the
-// CPUs and must park while a peer is descheduled; a sleeping component
-// makes parks certain. Every engine still matches its serial run.
+// TestConcurrentEnginesOversubscribed: three engines of two partitions
+// each share two Ps, so coordinators and workers outnumber the CPUs and
+// must park while a peer is descheduled; a sleeping component makes parks
+// certain. Every engine still matches its one-partition run.
 func TestConcurrentEnginesOversubscribed(t *testing.T) {
 	setProcs(t, 2)
 	const cycles = 600
-	scenarios := []func(parallel bool) (*Engine, func() string){
-		func(parallel bool) (*Engine, func() string) { // one-cycle windows
-			e, a, b := buildPingPong(1, 0, parallel)
+	scenarios := []func(parts int) (*Engine, func() string){
+		func(parts int) (*Engine, func() string) { // one-cycle windows
+			e, a, b := buildPingPong(1, 0, parts)
 			return e, func() string { return receipts(a, b) }
 		},
-		func(parallel bool) (*Engine, func() string) { // four-cycle windows of one round
-			e, a, b := buildPingPong(4, 0, parallel)
+		func(parts int) (*Engine, func() string) { // four-cycle windows of one round
+			e, a, b := buildPingPong(4, 0, parts)
 			return e, func() string { return receipts(a, b) }
 		},
-		func(parallel bool) (*Engine, func() string) { // per-shard rounds
-			e, ps := buildTriangle(0, parallel)
-			e.SetMaxPartitions(2)
+		func(parts int) (*Engine, func() string) { // per-shard rounds
+			e, ps := buildTriangle(0, parts)
 			return e, func() string { return receipts(ps[:]...) }
 		},
 	}
-	run := func(i int, parallel bool) (string, error) {
-		e, result := scenarios[i](parallel)
+	run := func(i int, parts int) (string, error) {
+		e, result := scenarios[i](parts)
 		e.Add(sleeper{})
 		handOffAll(e)
 		if _, err := e.Run(cycles, nil); !errors.Is(err, ErrBudget) {
 			return "", err
 		}
-		if h, d := e.Handoffs(); parallel && (h == 0 || h != d) {
+		if h, d := e.Handoffs(); parts > 1 && (h == 0 || h != d) {
 			return "", fmt.Errorf("%d of %d dispatches handed off, want all", h, d)
 		}
 		return result(), nil
@@ -289,7 +284,7 @@ func TestConcurrentEnginesOversubscribed(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			got[i], errs[i] = run(i, true)
+			got[i], errs[i] = run(i, 2)
 		}(i)
 	}
 	wg.Wait()
@@ -297,12 +292,12 @@ func TestConcurrentEnginesOversubscribed(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("scenario %d: %v", i, errs[i])
 		}
-		want, err := run(i, false)
+		want, err := run(i, 1)
 		if err != nil {
-			t.Fatalf("scenario %d serial: %v", i, err)
+			t.Fatalf("scenario %d, one partition: %v", i, err)
 		}
 		if got[i] != want {
-			t.Fatalf("scenario %d: parallel run under oversubscription diverged from serial", i)
+			t.Fatalf("scenario %d: two-partition run under oversubscription diverged from one partition", i)
 		}
 	}
 }
@@ -319,7 +314,7 @@ func BenchmarkDispatch(b *testing.B) {
 		min  uint64
 	}{{"inline", ^uint64(0)}, {"handoff", 0}} {
 		b.Run(tc.name, func(b *testing.B) {
-			e, _, _ := buildPingPong(1, 0, true)
+			e, _, _ := buildPingPong(1, 0, 2)
 			e.handoffMin = tc.min
 			b.ResetTimer()
 			if _, err := e.Run(uint64(b.N), nil); !errors.Is(err, ErrBudget) {
@@ -338,7 +333,7 @@ func (dormant) Quiescent(uint64) (bool, uint64) { return true, WakeNever }
 
 // BenchmarkDispatchSleepers times one simulated cycle of a cross-port
 // wiring with one busy shard (a component ticking every cycle) beside
-// 0, 16 or 64 shards whose components all sleep, on the serial executor.
+// 0, 16 or 64 shards whose components all sleep, on one partition.
 // A sleeping shard's phases are skipped, so the cost per cycle should not
 // grow with the number of sleeping shards.
 func BenchmarkDispatchSleepers(b *testing.B) {
@@ -382,15 +377,14 @@ func (b *burster) Quiescent(now uint64) (bool, uint64) {
 // engine's work per dispatch rises past handoffWork and falls back. Under
 // every window shape (one-cycle windows, four-cycle windows of one round,
 // per-shard rounds) the run hands the heavy dispatches to the workers and
-// runs the light ones inline, and matches the serial run bit for bit:
+// runs the light ones inline, and matches the one-partition run bit for bit:
 // pinger receipts, burster sums and per-shard tick counts.
 func TestHandoffFollowsWork(t *testing.T) {
 	setProcs(t, 2)
 	const cycles = 400
 	const perShard = handoffWork // two shards of them: twice the threshold
-	build := func(lat [3]uint64, parallel bool) (*Engine, func() string) {
-		e, ps := buildTriangleLat(lat, 0, parallel)
-		e.SetMaxPartitions(2)
+	build := func(lat [3]uint64, parts int) (*Engine, func() string) {
+		e, ps := buildTriangleLat(lat, 0, parts)
 		var bs []*burster
 		for s := 0; s < 2; s++ {
 			group := make([]Ticker, perShard)
@@ -413,17 +407,17 @@ func TestHandoffFollowsWork(t *testing.T) {
 		}
 	}
 	for _, lat := range [][3]uint64{{1, 1, 1}, {4, 4, 4}, {8, 2, 1}} {
-		run := func(parallel bool) (string, *Engine) {
-			e, result := build(lat, parallel)
+		run := func(parts int) (string, *Engine) {
+			e, result := build(lat, parts)
 			if _, err := e.Run(cycles, nil); !errors.Is(err, ErrBudget) {
-				t.Fatalf("lat=%v parallel=%v: %v", lat, parallel, err)
+				t.Fatalf("lat=%v parts=%d: %v", lat, parts, err)
 			}
 			return result(), e
 		}
-		want, _ := run(false)
-		got, e := run(true)
+		want, _ := run(1)
+		got, e := run(2)
 		if got != want {
-			t.Fatalf("lat=%v: parallel run diverged from serial:\n%s\nvs\n%s", lat, got, want)
+			t.Fatalf("lat=%v: two-partition run diverged from one partition:\n%s\nvs\n%s", lat, got, want)
 		}
 		if h, d := e.Handoffs(); h == 0 || h == d {
 			t.Fatalf("lat=%v: %d of %d dispatches handed off, want some but not all", lat, h, d)

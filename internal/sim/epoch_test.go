@@ -39,11 +39,10 @@ func (p *pinger) String() string   { return fmt.Sprintf("pinger%d", p.key) }
 func (p *pinger) Progress() uint64 { return p.sent + uint64(len(p.log)) }
 
 // buildPingPong wires two single-component shards with cross ports of the
-// given latency.
-func buildPingPong(lat, look uint64, parallel bool) (*Engine, *pinger, *pinger) {
+// given latency, run on at most parts partitions.
+func buildPingPong(lat, look uint64, parts int) (*Engine, *pinger, *pinger) {
 	e := NewEngine()
-	e.SetParallel(parallel)
-	e.SetMaxPartitions(2)
+	e.SetMaxPartitions(parts)
 	e.SetLookahead(look)
 	pa := NewPort[uint64](0)
 	pb := NewPort[uint64](0)
@@ -63,7 +62,7 @@ func buildPingPong(lat, look uint64, parallel bool) (*Engine, *pinger, *pinger) 
 // epoch path.
 func TestEpochDeliveryTiming(t *testing.T) {
 	for _, lat := range []uint64{1, 2, 4} {
-		e, a, _ := buildPingPong(lat, 0, false)
+		e, a, _ := buildPingPong(lat, 0, 1)
 		if _, err := e.Run(40, nil); !errors.Is(err, ErrBudget) {
 			t.Fatalf("lat=%d: %v", lat, err)
 		}
@@ -81,28 +80,28 @@ func TestEpochDeliveryTiming(t *testing.T) {
 }
 
 // TestEpochIdentityAcrossLookahead is the tentpole contract at engine
-// level: on a fixed machine (lat=4), every lookahead setting and both
-// executors produce the identical receipt history.
+// level: on a fixed machine (lat=4), every lookahead setting on one and
+// two partitions produces the identical receipt history.
 func TestEpochIdentityAcrossLookahead(t *testing.T) {
-	run := func(look uint64, parallel bool) ([][2]uint64, [][2]uint64, uint64) {
-		e, a, b := buildPingPong(4, look, parallel)
+	run := func(look uint64, parts int) ([][2]uint64, [][2]uint64, uint64) {
+		e, a, b := buildPingPong(4, look, parts)
 		if _, err := e.Run(1000, nil); !errors.Is(err, ErrBudget) {
-			t.Fatalf("look=%d parallel=%v: %v", look, parallel, err)
+			t.Fatalf("look=%d parts=%d: %v", look, parts, err)
 		}
 		return a.log, b.log, e.Epochs()
 	}
-	refA, refB, _ := run(1, false)
+	refA, refB, _ := run(1, 1)
 	if len(refA) == 0 || len(refB) == 0 {
 		t.Fatal("reference run exchanged no messages")
 	}
 	for _, look := range []uint64{0, 1, 2, 3, 4, 9} {
-		for _, parallel := range []bool{false, true} {
-			gotA, gotB, epochs := run(look, parallel)
+		for _, parts := range []int{1, 2} {
+			gotA, gotB, epochs := run(look, parts)
 			if fmt.Sprint(gotA) != fmt.Sprint(refA) || fmt.Sprint(gotB) != fmt.Sprint(refB) {
-				t.Fatalf("look=%d parallel=%v: receipt history diverged", look, parallel)
+				t.Fatalf("look=%d parts=%d: receipt history diverged", look, parts)
 			}
 			if (look == 0 || look >= 2) && epochs == 0 {
-				t.Fatalf("look=%d parallel=%v: fused path never ran", look, parallel)
+				t.Fatalf("look=%d parts=%d: fused path never ran", look, parts)
 			}
 		}
 	}
@@ -114,7 +113,7 @@ func TestEpochEffectiveLookahead(t *testing.T) {
 	for _, tc := range []struct{ lat, set, want uint64 }{
 		{4, 0, 4}, {4, 4, 4}, {4, 2, 2}, {4, 9, 4}, {1, 0, 1}, {1, 4, 1},
 	} {
-		e, _, _ := buildPingPong(tc.lat, tc.set, false)
+		e, _, _ := buildPingPong(tc.lat, tc.set, 1)
 		if got := e.Lookahead(); got != tc.want {
 			t.Fatalf("lat=%d set=%d: effective lookahead %d, want %d", tc.lat, tc.set, got, tc.want)
 		}
@@ -132,7 +131,7 @@ func TestEpochEffectiveLookahead(t *testing.T) {
 // on the identical cycle under every lookahead setting.
 func TestEpochQuantumStop(t *testing.T) {
 	for _, look := range []uint64{1, 2, 4} {
-		e, _, _ := buildPingPong(4, look, false)
+		e, _, _ := buildPingPong(4, look, 1)
 		if _, err := e.Run(13, nil); !errors.Is(err, ErrBudget) {
 			t.Fatalf("look=%d: %v", look, err)
 		}
@@ -149,7 +148,7 @@ func TestEpochQuantumStop(t *testing.T) {
 		}
 	}
 	stopAt := func(look uint64) uint64 {
-		e, a, _ := buildPingPong(4, look, false)
+		e, a, _ := buildPingPong(4, look, 1)
 		stop, err := e.Run(1000, func() bool { return a.sent >= 20 })
 		if err != nil {
 			t.Fatalf("look=%d: %v", look, err)
@@ -169,7 +168,7 @@ func TestEpochQuantumStop(t *testing.T) {
 // identical diagnostic under every lookahead setting.
 func TestEpochWatchdogCycleIdentity(t *testing.T) {
 	run := func(look uint64) (uint64, error) {
-		e, a, b := buildPingPong(4, look, false)
+		e, a, b := buildPingPong(4, look, 1)
 		a.every = 0 // nobody sends: progress freezes immediately
 		b.every = 0
 		a.in.SendFrom(9, 1, 0, 42) // pending work keeps Health non-empty below
@@ -205,7 +204,7 @@ func (wedgedHealth) Health() string   { return "1 request wedged" }
 // TestSendOnCrossPortPanics: cross-shard ports require the timestamped
 // SendFrom; the untimestamped Send has no release cycle to stamp.
 func TestSendOnCrossPortPanics(t *testing.T) {
-	e, _, b := buildPingPong(4, 0, false)
+	e, _, b := buildPingPong(4, 0, 1)
 	_ = e
 	defer func() {
 		if recover() == nil {
@@ -234,7 +233,7 @@ func TestBoundedCrossPortPanics(t *testing.T) {
 // TestEpochSettleMidGrid: Settle extends quiescence-skipped statistics to
 // the current cycle even when a budget stop lands mid-epoch.
 func TestEpochSettleMidGrid(t *testing.T) {
-	e, _, _ := buildPingPong(4, 4, false)
+	e, _, _ := buildPingPong(4, 4, 1)
 	cu := &catchUpRecorder{}
 	e.Add(cu)
 	if _, err := e.Run(7, nil); !errors.Is(err, ErrBudget) {
@@ -261,7 +260,7 @@ func (c *catchUpRecorder) String() string     { return "catch-up-recorder" }
 // converges on the identical receipt history.
 func TestEpochCheckpointRoundTrip(t *testing.T) {
 	ref := func() ([][2]uint64, [][2]uint64) {
-		e, a, b := buildPingPong(4, 1, false)
+		e, a, b := buildPingPong(4, 1, 1)
 		if _, err := e.Run(200, nil); !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}
@@ -271,12 +270,12 @@ func TestEpochCheckpointRoundTrip(t *testing.T) {
 
 	// Run the first 13 cycles (mid-grid) at full lookahead, snapshot the
 	// ports and scheduling state by hand, and resume at lookahead 1.
-	src, sa, sb := buildPingPong(4, 0, false)
+	src, sa, sb := buildPingPong(4, 0, 1)
 	if _, err := src.Run(13, nil); !errors.Is(err, ErrBudget) {
 		t.Fatal(err)
 	}
 	blob := encodePingPong(t, src, sa, sb)
-	dst, da, db := buildPingPong(4, 1, false)
+	dst, da, db := buildPingPong(4, 1, 1)
 	decodePingPong(t, blob, dst, da, db)
 	if dst.Now() != 13 {
 		t.Fatalf("restored engine at cycle %d, want 13", dst.Now())

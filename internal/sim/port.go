@@ -11,8 +11,8 @@ import (
 // are sorted by their (sender, sequence) key and appended to the visible
 // queue. The owning component drains the queue during a later tick.
 //
-// Sorting by key is what keeps the simulation deterministic under the
-// parallel executor: goroutine interleaving can change the order in which
+// Sorting by key is what keeps the simulation deterministic with several
+// partitions: goroutine interleaving can change the order in which
 // Send is called, but never the committed order.
 //
 // Locking contract: a plain port's producers and its owner run in one
@@ -162,7 +162,7 @@ func (p *Port[T]) stage(env envelope[T]) {
 // CanAccept reports whether the committed queue has room for n more
 // messages. It deliberately ignores messages staged by other senders this
 // cycle: counting them would make credit decisions depend on tick order,
-// which diverges under the parallel executor. A sender that issues several
+// which diverges between partition counts. A sender that issues several
 // messages in one tick should use CanAcceptFrom to count its own staged
 // traffic. The port never rejects a Send; this is a flow-control hint.
 func (p *Port[T]) CanAccept(n int) bool {

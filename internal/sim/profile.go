@@ -1,11 +1,11 @@
-// Per-shard wall-time attribution for the engine's executors. A Profile
-// accumulates, for every shard, the host wall time spent in each of the
-// three cycle phases (tick, port commit, component commit), under both the
-// serial and the parallel executor, alongside the deterministic component-
-// tick counts the load balancer runs on. Comparing shard totals — and the
-// per-partition groupings of them — exposes load imbalance and makes it
-// attributable: a hot partition is a list of named shards with tick
-// shares, not an opaque goroutine.
+// Per-shard wall-time attribution for the engine. A Profile accumulates,
+// for every shard, the host wall time spent in each of the three cycle
+// phases (tick, port commit, component commit), at any partition count,
+// alongside the deterministic component-tick counts the load balancer
+// runs on. Comparing shard totals — and the per-partition groupings of
+// them — exposes load imbalance and makes it attributable: a hot
+// partition is a list of named shards with tick shares, not an opaque
+// goroutine.
 package sim
 
 import (
@@ -48,7 +48,7 @@ type ShardLoad struct {
 // shard→partition assignment. Unlike a Profile it costs nothing during the
 // run (the tick counters are maintained regardless, for the load
 // balancer), and unlike wall times the tick counts are identical across
-// hosts and executors.
+// hosts and partition counts.
 func (e *Engine) LoadReport() []ShardLoad {
 	e.ensureParts()
 	var total uint64
@@ -78,8 +78,7 @@ func (e *Engine) LoadReport() []ShardLoad {
 // Profile accumulates per-shard phase timings. Install with
 // Engine.SetProfile before running; read with Partitions or String after.
 // Each shard's slot is written only by the goroutine of the partition that
-// currently owns the shard (round barriers order writes across
-// reassignments), so the parallel executor profiles without locks.
+// owns the shard, so several partitions profile without locks.
 type Profile struct {
 	eng   *Engine
 	acc   [][3]time.Duration

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 )
@@ -93,48 +92,56 @@ func (p *panicTicker) Tick(now uint64) {
 func (p *panicTicker) Commit(uint64)  {}
 func (p *panicTicker) String() string { return p.name }
 
-// TestParallelPanicSurfacesAsError: a component panic under the parallel
-// executor becomes Run's error, naming the component and the exact cycle
-// it was executing — on a wiring without cross ports (one-cycle windows),
-// inside a four-cycle window of one round, and inside a per-shard round,
-// in a dispatch handed to the workers and in one run inline — and Run
-// stops within one window.
+// TestParallelPanicSurfacesAsError: a component panic becomes Run's error,
+// naming the component and the exact cycle it was executing — on a wiring
+// without cross ports (one-cycle windows), inside a four-cycle window of
+// one round, and inside a per-shard round; on several partitions in a
+// dispatch handed to the workers and in one run inline, and on one
+// partition — and Run stops within one window.
 func TestParallelPanicSurfacesAsError(t *testing.T) {
 	setProcs(t, 2)
 	for _, tc := range []struct {
 		name   string
-		build  func() *Engine
+		build  func(parts int) *Engine
+		parts  int    // the multi-partition count of the wiring
 		window uint64 // cycles the run may continue past the panic
 	}{
-		{"classic", func() *Engine {
+		{"classic", func(parts int) *Engine {
 			e := NewEngine()
-			e.SetParallel(true)
-			e.SetMaxPartitions(2)
+			e.SetMaxPartitions(parts)
 			e.AddShard("", &panicTicker{name: "core7", at: 10})
 			e.AddShard("", idleTicker{})
 			return e
-		}, 1},
-		{"fused-epoch", func() *Engine {
-			e, _, _ := buildPingPong(4, 0, true)
+		}, 2, 1},
+		{"fused-epoch", func(parts int) *Engine {
+			e, _, _ := buildPingPong(4, 0, parts)
 			e.Add(&panicTicker{name: "core7", at: 10})
 			return e
-		}, 4},
-		{"per-shard-rounds", func() *Engine {
-			e, _ := buildTriangle(0, true)
+		}, 2, 4},
+		{"per-shard-rounds", func(parts int) *Engine {
+			e, _ := buildTriangle(0, parts)
 			e.Add(&panicTicker{name: "core7", at: 10})
 			return e
-		}, 8},
+		}, 3, 8},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			for _, handoff := range []bool{true, false} {
-				t.Run(fmt.Sprintf("handoff=%v", handoff), func(t *testing.T) {
-					e := tc.build()
-					if handoff {
+			for _, run := range []struct {
+				name    string
+				parts   int
+				handoff bool
+			}{
+				{"handoff=true", tc.parts, true},
+				{"handoff=false", tc.parts, false},
+				{"partitions=1", 1, false},
+			} {
+				t.Run(run.name, func(t *testing.T) {
+					e := tc.build(run.parts)
+					if run.handoff {
 						handOffAll(e)
 					}
 					cycles, err := e.Run(1_000, nil)
-					if h, _ := e.Handoffs(); (h > 0) != handoff {
-						t.Fatalf("%d dispatches handed off; want some %v", h, handoff)
+					if h, _ := e.Handoffs(); (h > 0) != run.handoff {
+						t.Fatalf("%d dispatches handed off; want some %v", h, run.handoff)
 					}
 					if err == nil {
 						t.Fatal("expected a panic-derived error")

@@ -99,7 +99,8 @@ func RestorePort[T any](d *snapshot.Decoder, p *Port[T], load func(*snapshot.Dec
 // chip with different wiring. Shards — not execution partitions — are the
 // serialization unit: shard layout is a pure function of the chip
 // configuration, while the shard→partition assignment depends on the host
-// (GOMAXPROCS, executor mode), and snapshots must be machine-independent.
+// (GOMAXPROCS, the partition count), and snapshots must be
+// machine-independent.
 // Ports and component internals are saved by their owning components, not
 // here.
 func (e *Engine) SaveState(enc *snapshot.Encoder) {
@@ -122,8 +123,10 @@ func (e *Engine) SaveState(enc *snapshot.Encoder) {
 		}
 		// Tick counters feed the load-balancer and the load report; saving
 		// them keeps post-restore snapshots identical to uninterrupted runs.
+		// The second word is the retired repartition-window mark, kept so
+		// the format is unchanged: written as 0, read and discarded.
 		enc.U64(sh.ticks)
-		enc.U64(sh.lastTicks)
+		enc.U64(0)
 	}
 	enc.U64(e.lastSum)
 	enc.U64(e.lastCheck)
@@ -169,7 +172,7 @@ func (e *Engine) RestoreState(dec *snapshot.Decoder) {
 			sh.timers = append(sh.timers, timerEntry{at: at, idx: idx})
 		}
 		sh.ticks = dec.U64()
-		sh.lastTicks = dec.U64()
+		dec.U64() // retired repartition-window mark
 		// Transient per-step state: nothing can be dirty at a boundary.
 		sh.dirtyPorts = sh.dirtyPorts[:0]
 		// Rebuild the woken queue from the restored flags: a component that

@@ -18,8 +18,8 @@
 // sends it staged. A window every shard's block spans is a single round,
 // and a single cycle (Step, or a wiring without cross ports) is a
 // one-cycle window. Deliveries are released on the exact cycle their
-// timestamp dictates, so serial and parallel execution produce identical
-// histories.
+// timestamp dictates, so every partition count produces the identical
+// history.
 //
 // Components may implement Quiescer to be skipped while idle: a quiescent
 // component is removed from its shard's active list and re-armed by a
@@ -31,20 +31,21 @@
 // Components are registered in shards: stable groups (one per sub-ring, one
 // per memory controller, ...) that always execute together. Shards are the
 // unit of load balancing: the engine assigns shards to execution partitions
-// — one goroutine each under the parallel executor — using deterministic
-// per-shard load estimates (accumulated component-tick counts, or static
-// weights before any cycle has run). The assignment, and the optional
-// periodic reassignment at cycle barriers (SetRepartition), never touches
-// architectural state: simulated histories are bit-identical across serial,
-// parallel, and repartitioned execution by construction. See DESIGN.md
-// ("Load-balanced partitioning") for the contract.
+// (SetMaxPartitions; one, the default, runs everything on the caller) using
+// deterministic per-shard load estimates (accumulated component-tick
+// counts, or component counts before any cycle has run). The assignment
+// never touches architectural state: simulated histories are bit-identical
+// at every partition count by construction.
 //
-// The parallel executor reproduces the conservative synchronous PDES scheme
-// the paper's simulation framework uses: partitions run a round's blocks
-// concurrently, and the barrier after each round provides the lookahead
-// that makes the synchronization safe. Ports are committed by the
-// partition that currently owns the receiving component's shard, so commit
-// work parallelizes with the rest of the round.
+// With several partitions the engine reproduces the conservative
+// synchronous PDES scheme the paper's simulation framework uses: partitions
+// run a round's blocks concurrently, and the barrier after each round
+// provides the lookahead that makes the synchronization safe. A round
+// heavy enough to pay for a worker handoff goes to one goroutine per
+// partition; lighter rounds run every partition inline on the caller
+// (DESIGN.md §7). Ports are committed by the partition that owns the
+// receiving component's shard, so commit work parallelizes with the rest
+// of the round.
 package sim
 
 import (
@@ -141,7 +142,8 @@ type HealthReporter interface {
 const DefaultWatchdogCycles = 10_000
 
 // committer is the commit half of Ticker, implemented by Port so the engine
-// can flush staged messages between the two phases.
+// can flush staged messages between the two phases. A port registered
+// with AddPort or AddPortFor must also implement dirtyNotifier.
 type committer interface {
 	Commit(now uint64)
 }
@@ -202,14 +204,11 @@ type shard struct {
 	comps  []*compState
 	active []int32 // indices into comps, ascending (registration order)
 	timers timerHeap
-	// ports holds registered committers that do not support the dirty-queue
-	// protocol (anything that is not a *Port); they are committed every
-	// cycle. *Port registrations instead self-enqueue on dirtyPorts via
-	// their onDirty hook, so clean ports cost nothing per cycle. dirtyPorts
-	// is appended by the goroutine that sends, which is the one executing
-	// this shard (a plain port's producers share its owner's shard), and
-	// drained by portPhase, so it takes no lock.
-	ports      []committer
+	// dirtyPorts holds the registered ports sent to since the last port
+	// phase: each self-enqueues via its onDirty hook, so clean ports cost
+	// nothing per cycle. It is appended by the goroutine that sends, which
+	// is the one executing this shard (a plain port's producers share its
+	// owner's shard), and drained by portPhase, so it takes no lock.
 	dirtyPorts []committer
 	asleep     int    // number of comps with asleep set
 	cur        Ticker // component under execution, for panic diagnostics
@@ -244,10 +243,8 @@ type shard struct {
 
 	// Deterministic load estimate: ticks accumulates the number of
 	// component Ticks this shard has executed (a pure function of the
-	// simulated history, identical across executors); lastTicks marks the
-	// start of the current repartition window.
-	ticks     uint64
-	lastTicks uint64
+	// simulated history, identical at every partition count).
+	ticks uint64
 
 	// blocks counts the blocks this shard has executed in multi-cycle
 	// windows (one-cycle windows do not count). A wall-time diagnostic
@@ -285,10 +282,10 @@ func (sh *shard) markWoken(cs *compState) {
 	}
 }
 
-// partition is one unit of parallelism: the set of shards currently
-// executed by one goroutine under the parallel executor. cur is the shard
-// under execution, which panic recovery reads to name the failing
-// component and cycle.
+// partition is one unit of parallelism: the set of shards one goroutine
+// executes when a round is handed to the workers. cur is the shard under
+// execution, which panic recovery reads to name the failing component and
+// cycle.
 type partition struct {
 	pi     int
 	shards []*shard
@@ -303,11 +300,7 @@ type Engine struct {
 	owners map[Ticker]*compState
 	now    uint64
 
-	// Executor configuration.
-	parallel    bool
-	maxParts    int    // cap on execution partitions; 0 = GOMAXPROCS
-	repartEvery uint64 // opt-in periodic repartition interval; 0 = off
-	nextRepart  uint64
+	maxParts int // cap on execution partitions; 0 = one per CPU
 
 	// Watchdog state. stuckSince is the first cycle of the current
 	// zero-progress streak (0 = not stuck): counting in simulated cycles
@@ -352,12 +345,12 @@ type Engine struct {
 	errs     []partitionErr
 	errCount atomic.Int32
 
-	// Dispatch barrier (DESIGN.md §7). While workers run (parallel mode
-	// inside Run), partition 0 executes on the coordinating goroutine and
-	// workers[i] executes partition i+1. The coordinator publishes the
-	// round (or stop), sets pending, and bumps gen; each worker runs its
-	// partition's share of the round and decrements pending. Both sides
-	// wait with parkers.
+	// Dispatch barrier (DESIGN.md §7). While workers run (inside Run, with
+	// several partitions), partition 0 executes on the coordinating
+	// goroutine and workers[i] executes partition i+1. The coordinator
+	// publishes the round (or stop), sets pending, and bumps gen; each
+	// worker runs its partition's share of the round and decrements
+	// pending. Both sides wait with parkers.
 	stop    bool
 	gen     atomic.Uint64
 	pending atomic.Int32
@@ -394,38 +387,26 @@ type partitionErr struct {
 	value     any
 }
 
-// NewEngine returns an empty serial engine.
+// NewEngine returns an empty engine with one execution partition.
 func NewEngine() *Engine {
-	return &Engine{owners: map[Ticker]*compState{}, minWin: 1, handoffMin: handoffWork}
+	return &Engine{owners: map[Ticker]*compState{}, maxParts: 1, minWin: 1, handoffMin: handoffWork}
 }
 
-// SetParallel switches the engine between the serial executor and the
-// partition-parallel executor. Results are identical either way.
-func (e *Engine) SetParallel(p bool) {
-	if e.parallel != p {
-		e.parallel = p
-		e.invalidateParts()
-	}
-}
-
-// SetMaxPartitions caps the number of execution partitions the parallel
-// executor uses (0 restores the default: GOMAXPROCS at assignment time,
-// never more than the shard count). Execution partitioning is a wall-time
-// concern only; simulated results are identical for every value.
+// SetMaxPartitions sets the engine's one concurrency setting: the number
+// of execution partitions is at most n, never more than the shard count,
+// and 0 means one per CPU (GOMAXPROCS at assignment time). With one
+// partition, where NewEngine starts, Run starts no workers. Execution
+// partitioning is a wall-time concern only; simulated results are
+// identical for every value. A negative n panics.
 func (e *Engine) SetMaxPartitions(n int) {
+	if n < 0 {
+		panic(fmt.Sprintf("sim: SetMaxPartitions(%d): partition count must be at least 0", n))
+	}
 	if e.maxParts != n {
 		e.maxParts = n
 		e.invalidateParts()
 	}
 }
-
-// SetRepartition enables (every > 0) or disables (0) periodic load
-// rebalancing: every interval cycles, at a cycle barrier inside Run, shards
-// are reassigned to partitions using the component-tick counts accumulated
-// since the previous rebalance. The decision inputs are deterministic
-// functions of the simulated history, and reassignment never touches
-// architectural state, so results stay bit-identical.
-func (e *Engine) SetRepartition(every uint64) { e.repartEvery = every }
 
 // AddShard registers a named group of components that always execute
 // together — the atomic unit of load balancing — and returns its shard id.
@@ -487,14 +468,15 @@ func (e *Engine) AddPort(p committer) {
 	registerPort(e.shards[0], p)
 }
 
-// registerPort wires p for commit by sh: via the dirty-queue hook when the
-// committer supports it, or on the always-commit list otherwise.
+// registerPort wires p for commit by sh through its dirty-queue hook. A
+// committer without the hook (anything but a *Port) is a wiring error: the
+// port phase visits only ports that enqueued themselves.
 func registerPort(sh *shard, p committer) {
-	if dn, ok := p.(dirtyNotifier); ok {
-		dn.SetOnDirty(func() { sh.markDirty(p) })
-		return
+	dn, ok := p.(dirtyNotifier)
+	if !ok {
+		panic(fmt.Sprintf("sim: port %T has no dirty hook (register a *sim.Port)", p))
 	}
-	sh.ports = append(sh.ports, p)
+	dn.SetOnDirty(func() { sh.markDirty(p) })
 }
 
 // AddPortFor registers input ports of owner: they are committed by the
@@ -637,7 +619,7 @@ func shardBaseWindow(sh *shard) uint64 {
 // evaluates the done condition and the watchdog: the maximum per-shard
 // base window (1 when no cross ports are registered). Like autoLookahead
 // it is a pure function of the wiring — independent of SetLookahead — so
-// stop cycles are identical across every executor setting; on
+// stop cycles are identical at every partition count and cap; on
 // uniform-latency wirings it equals autoLookahead. Every grid multiple
 // ends a window, where all shard clocks meet.
 func (e *Engine) doneGrid() uint64 {
@@ -715,7 +697,7 @@ func (e *Engine) Now() uint64 { return e.now }
 
 // invalidateParts drops the current shard→partition assignment so the next
 // Step/Run recomputes it. Never called while workers are running: all the
-// mutating entry points (registration, executor configuration) happen
+// mutating entry points (registration, SetMaxPartitions) happen
 // between runs.
 func (e *Engine) invalidateParts() {
 	e.stopWorkers()
@@ -726,34 +708,24 @@ func (e *Engine) invalidateParts() {
 }
 
 // Partitions returns the number of execution partitions the current
-// assignment uses (1 under the serial executor).
+// assignment uses.
 func (e *Engine) Partitions() int {
 	e.ensureParts()
 	return len(e.parts)
 }
 
 // ensureParts builds the execution partitions and the shard assignment if
-// they are missing. Serial execution uses a single partition; parallel
-// execution uses min(cap, GOMAXPROCS, shard count) partitions, so a
-// single-CPU host never pays parallel-executor overhead for partitions it
-// cannot run concurrently.
+// they are missing: min(cap, shard count) partitions, where a cap of 0 is
+// GOMAXPROCS, so by default a single-CPU host runs one partition.
 func (e *Engine) ensureParts() {
 	if e.parts != nil {
 		return
 	}
-	n := 1
-	if e.parallel {
-		n = e.maxParts
-		if n <= 0 {
-			n = runtime.GOMAXPROCS(0)
-		}
-		if n > len(e.shards) {
-			n = len(e.shards)
-		}
-		if n < 1 {
-			n = 1
-		}
+	n := e.maxParts
+	if n == 0 {
+		n = runtime.GOMAXPROCS(0)
 	}
+	n = max(min(n, len(e.shards)), 1)
 	e.parts = make([]*partition, n)
 	for i := range e.parts {
 		e.parts[i] = &partition{pi: i}
@@ -762,14 +734,10 @@ func (e *Engine) ensureParts() {
 }
 
 // loadEstimate is the deterministic per-shard load input to assignment:
-// the tick count accumulated over the current repartition window, falling
-// back to the whole-run tick count and then, before any cycles have run,
-// the component count. Always at least 1 so empty shards still get
+// the tick count accumulated so far, falling back, before any cycles have
+// run, to the component count. Always at least 1 so empty shards still get
 // assigned.
 func (sh *shard) loadEstimate() uint64 {
-	if est := sh.ticks - sh.lastTicks; est > 0 {
-		return est
-	}
 	if sh.ticks > 0 {
 		return sh.ticks
 	}
@@ -809,28 +777,15 @@ func (e *Engine) assign() {
 	}
 	// Execute shards within a partition in id order: not required for
 	// correctness (shards interact only through cross ports), but it keeps
-	// serial iteration and diagnostics stable.
+	// one-partition iteration and diagnostics stable.
 	for _, p := range e.parts {
 		sort.Slice(p.shards, func(i, j int) bool { return p.shards[i].id < p.shards[j].id })
 	}
 }
 
-// repartition rebalances the shard assignment from the tick counts
-// accumulated since the previous call. Called between dispatches only
-// (workers waiting on the generation counter), so assignment writes are
-// ordered before the next dispatch.
-func (e *Engine) repartition() {
-	if len(e.parts) > 1 {
-		e.assign()
-	}
-	for _, sh := range e.shards {
-		sh.lastTicks = sh.ticks
-	}
-}
-
 // Step advances the simulation by exactly one cycle. After a component
-// panic has been recovered in parallel mode (see Err), Step is a no-op:
-// the faulting partition's state is no longer trustworthy.
+// panic has been recovered (see Err), Step is a no-op: the faulting
+// partition's state is no longer trustworthy.
 func (e *Engine) Step() {
 	e.syncCross()
 	e.advance(1)
@@ -1001,10 +956,10 @@ func (sh *shard) runCycles(start, end uint64) {
 }
 
 // nextWork is workAt as of the end of a cycle: 0 while a component is
-// active or woken or a port is dirty or always committed, otherwise the
-// earlier of the next timer and the earliest sealed delivery.
+// active or woken or a port is dirty, otherwise the earlier of the next
+// timer and the earliest sealed delivery.
 func (sh *shard) nextWork() uint64 {
-	if len(sh.active) > 0 || len(sh.wokenList) > 0 || len(sh.dirtyPorts) > 0 || len(sh.ports) > 0 {
+	if len(sh.active) > 0 || len(sh.wokenList) > 0 || len(sh.dirtyPorts) > 0 {
 		return 0
 	}
 	if len(sh.timers) > 0 {
@@ -1063,8 +1018,8 @@ func (sh *shard) tickPhase(now uint64) {
 	}
 	sh.cur = nil
 	// The deterministic load estimate: one Tick per active component this
-	// cycle. Identical across executors because the active list is a pure
-	// function of the simulated history.
+	// cycle. Identical at every partition count because the active list is
+	// a pure function of the simulated history.
 	sh.ticks += uint64(len(sh.active))
 	if sh.prof != nil {
 		sh.prof.add(sh.id, 0, time.Since(t0))
@@ -1072,14 +1027,11 @@ func (sh *shard) tickPhase(now uint64) {
 }
 
 // portPhase commits the ports that were sent to since the last port phase
-// (self-enqueued via markDirty), plus any legacy always-commit registrants.
+// (self-enqueued via markDirty).
 func (sh *shard) portPhase(now uint64) {
 	var t0 time.Time
 	if sh.prof != nil {
 		t0 = time.Now()
-	}
-	for _, pt := range sh.ports {
-		pt.Commit(now)
 	}
 	// No Send runs during a port phase, so the list is not appended to
 	// while it drains.
@@ -1172,14 +1124,12 @@ func sortActive(a []int32) {
 	}
 }
 
-// runPartition executes partition pi's share of the current round. Under
-// the parallel executor a component panic is recovered into a recorded
-// error (see Err); under the serial executor it propagates to the caller.
+// runPartition executes partition pi's share of the current round. A
+// component panic is recovered into a recorded error (see Err) at every
+// partition count, on a worker or on the caller alike.
 func (e *Engine) runPartition(pi int) {
 	p := e.parts[pi]
-	if e.parallel {
-		defer e.recoverPartition(pi, p)
-	}
+	defer e.recoverPartition(pi, p)
 	e.runRound(p)
 }
 
@@ -1281,8 +1231,8 @@ func (sh *shard) tickLoad() uint64 {
 // Handoffs reports how many dispatches Run handed to its workers, and
 // how many it made while workers ran: handed over dispatched is the share
 // of dispatches heavy enough to run partitions concurrently; the rest ran
-// inline on the caller. Both are 0 unless workers started (the parallel
-// executor with more than one partition and more than one CPU). A
+// inline on the caller. Both are 0 unless workers started (more than one
+// partition and more than one CPU). A
 // wall-time diagnostic like Epochs: never part of the simulated history,
 // never checkpointed.
 func (e *Engine) Handoffs() (handed, dispatched uint64) { return e.handoffs, e.dispatched }
@@ -1416,9 +1366,9 @@ func (e *Engine) Settle() {
 	}
 }
 
-// Err returns the error from the first component panic recovered in
-// parallel mode, or nil. The report names the cycle the component was
-// executing, which inside a multi-cycle window can precede Now. When several
+// Err returns the error from the first recovered component panic, or nil.
+// The report names the cycle the component was executing, which inside a
+// multi-cycle window can precede Now. When several
 // partitions panicked, the earliest cycle wins, then the lowest partition
 // index, so the report is deterministic. The no-error fast path is a
 // single atomic load (Run polls every window).
@@ -1529,25 +1479,20 @@ func (e *Engine) checkWatchdog() error {
 
 // Run advances until done returns true or the cycle budget is exhausted. It
 // returns the cycle count at stop and an error when the budget ran out, a
-// component panicked in parallel mode, or the progress watchdog detected a
-// wedged simulation. In parallel mode with more than one partition and
-// more than one CPU, Run starts the persistent workers for its duration
-// and stops them before it returns; otherwise every partition runs on the
-// caller. With SetRepartition enabled, shard assignments are rebalanced at
-// the configured cycle cadence.
+// component panicked, or the progress watchdog detected a wedged
+// simulation. With more than one partition and more than one CPU, Run
+// starts the persistent workers for its duration and stops them before it
+// returns; otherwise every partition runs on the caller.
 func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 	e.ensureParts()
 	e.syncCross()
-	if e.parallel && len(e.parts) > 1 && runtime.GOMAXPROCS(0) > 1 {
+	if len(e.parts) > 1 && runtime.GOMAXPROCS(0) > 1 {
 		e.startWorkers()
 		defer e.stopWorkers()
 	}
-	if e.repartEvery > 0 && e.nextRepart <= e.now {
-		e.nextRepart = e.now + e.repartEvery
-	}
 	// The done condition and the watchdog are evaluated only on an absolute
 	// cycle grid whose pitch is the done grid — a pure function of the
-	// wiring, NOT of any SetLookahead override — so every executor setting
+	// wiring, NOT of any SetLookahead override — so every partition count
 	// observes completion (and wedges) on the identical cycle. A window is
 	// the widest effective shard window, clipped to realign with the grid
 	// after a mid-grid entry (e.g. a budget-sliced timeline run) and to
@@ -1565,10 +1510,6 @@ func (e *Engine) Run(maxCycles uint64, done func() bool) (uint64, error) {
 			break
 		}
 		e.advance(min(maxWin, grid-e.now%grid, left))
-		if e.repartEvery > 0 && e.now >= e.nextRepart {
-			e.repartition()
-			e.nextRepart = e.now + e.repartEvery
-		}
 		if err := e.Err(); err != nil {
 			return e.now, err
 		}

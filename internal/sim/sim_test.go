@@ -122,13 +122,13 @@ func addSink(e *Engine, port *Port[uint64]) {
 	e.AddCrossPortFor(s, port)
 }
 
+// TestParallelMatchesSerial: the same wiring delivers the identical message
+// history on one partition and on 2, 3 and 4 (a real multi-partition
+// assignment even on a single-CPU host) or one per CPU.
 func TestParallelMatchesSerial(t *testing.T) {
-	build := func(parallel bool) (*Engine, *Port[uint64]) {
+	build := func(parts int) (*Engine, *Port[uint64]) {
 		e := NewEngine()
-		e.SetParallel(parallel)
-		// Force a real multi-partition assignment even on a single-CPU host
-		// (the default collapses to one partition there).
-		e.SetMaxPartitions(4)
+		e.SetMaxPartitions(parts)
 		port := NewPort[uint64](0)
 		for p := 0; p < 8; p++ {
 			senders := make([]Ticker, 0, 4)
@@ -140,20 +140,24 @@ func TestParallelMatchesSerial(t *testing.T) {
 		addSink(e, port)
 		return e, port
 	}
-	eS, pS := build(false)
-	eP, pP := build(true)
+	eS, pS := build(1)
 	for c := 0; c < 20; c++ {
 		eS.Step()
-		eP.Step()
 	}
-	got := pP.DrainInto(nil, 0)
 	want := pS.DrainInto(nil, 0)
-	if len(got) != len(want) {
-		t.Fatalf("message counts differ: %d vs %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("message %d differs: parallel %d, serial %d", i, got[i], want[i])
+	for _, parts := range []int{2, 3, 4, 0} {
+		eP, pP := build(parts)
+		for c := 0; c < 20; c++ {
+			eP.Step()
+		}
+		got := pP.DrainInto(nil, 0)
+		if len(got) != len(want) {
+			t.Fatalf("parts=%d: message counts differ: %d vs %d", parts, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("parts=%d: message %d differs: %d, one partition %d", parts, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -366,8 +370,9 @@ func TestQuiescenceMatchesAlwaysActive(t *testing.T) {
 func TestWorkerExecutorMatchesSerial(t *testing.T) {
 	build := func(workers bool) []uint64 {
 		e := NewEngine()
-		e.SetParallel(workers)
-		e.SetMaxPartitions(4)
+		if workers {
+			e.SetMaxPartitions(4)
+		}
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
 			e.AddShard("", &portSender{id: uint64(p), port: port})

@@ -5,7 +5,7 @@
 // Perfetto (one "process" per shard, one "thread" per component, the
 // cycle counter standing in for microseconds). Buffers are indexed by
 // shard — the stable unit, independent of how shards are assigned to
-// execution partitions — so traces are identical across executors.
+// execution partitions — so traces are identical at every partition count.
 //
 // Tracing is strictly observational: it never changes what the engine
 // executes, so simulated histories are bit-identical with tracing on or

@@ -148,9 +148,9 @@ func TestTraceEmitEscapesJSON(t *testing.T) {
 }
 
 func TestProfileAttributesPhases(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
+	for _, parts := range []int{1, 0} { // 0: one partition per CPU
 		e := NewEngine()
-		e.SetParallel(parallel)
+		e.SetMaxPartitions(parts)
 		port := NewPort[uint64](0)
 		for p := 0; p < 4; p++ {
 			e.AddShard("", &portSender{id: uint64(p), port: port})
@@ -162,22 +162,22 @@ func TestProfileAttributesPhases(t *testing.T) {
 			t.Fatal("expected budget error")
 		}
 		if prof.Steps() != 200 {
-			t.Fatalf("parallel=%v: steps = %d, want 200", parallel, prof.Steps())
+			t.Fatalf("parts=%d: steps = %d, want 200", parts, prof.Steps())
 		}
-		parts := prof.Partitions()
-		if len(parts) != 5 {
-			t.Fatalf("parallel=%v: %d shard rows, want 5 (four senders and the sink)", parallel, len(parts))
+		rows := prof.Partitions()
+		if len(rows) != 5 {
+			t.Fatalf("parts=%d: %d shard rows, want 5 (four senders and the sink)", parts, len(rows))
 		}
 		var total, share float64
-		for _, pp := range parts {
+		for _, pp := range rows {
 			total += pp.TotalSeconds
 			share += pp.Share
 		}
 		if total <= 0 {
-			t.Fatalf("parallel=%v: no wall time attributed", parallel)
+			t.Fatalf("parts=%d: no wall time attributed", parts)
 		}
 		if share < 0.999 || share > 1.001 {
-			t.Fatalf("parallel=%v: shares sum to %v", parallel, share)
+			t.Fatalf("parts=%d: shares sum to %v", parts, share)
 		}
 		if s := prof.String(); !strings.Contains(s, "load imbalance") {
 			t.Fatalf("report missing imbalance line:\n%s", s)

@@ -85,7 +85,8 @@ func (f *feeder) Commit(uint64) {}
 // The wirings cover 4-cycle windows of one round (every cross port takes
 // 4 cycles), per-shard min-clock rounds (the feeder's window is 1, the
 // doze shard's 4) and one-cycle windows (the same wiring at lookahead 1),
-// each serially and with every dispatch handed to the workers.
+// each on one partition and on two with every dispatch handed to the
+// workers.
 func TestShardWakePaths(t *testing.T) {
 	setProcs(t, 2)
 	for _, tc := range []struct {
@@ -97,13 +98,12 @@ func TestShardWakePaths(t *testing.T) {
 		{"rounds", true, 0},
 		{"one-cycle-epochs", true, 1},
 	} {
-		for _, parallel := range []bool{false, true} {
-			name := fmt.Sprintf("%s/parallel=%v", tc.name, parallel)
+		for _, parts := range []int{1, 2} {
+			name := fmt.Sprintf("%s/parts=%d", tc.name, parts)
 			e := NewEngine()
-			e.SetParallel(parallel)
-			e.SetMaxPartitions(2)
+			e.SetMaxPartitions(parts)
 			e.SetLookahead(tc.look)
-			if parallel {
+			if parts > 1 {
 				handOffAll(e)
 			}
 			cross := NewPort[uint64](0)
@@ -150,7 +150,7 @@ func TestShardWakePaths(t *testing.T) {
 			if _, err := e.Run(70, ring); !errors.Is(err, ErrBudget) {
 				t.Fatalf("%s: %v", name, err)
 			}
-			if parallel {
+			if parts > 1 {
 				checkHandedOff(t, e)
 			}
 

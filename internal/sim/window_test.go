@@ -13,16 +13,15 @@ import (
 // c), b's takes 2 (fed by a), c's takes 1 (fed by b). The per-shard safe
 // windows are therefore 8/2/1 while the global-min window is 1 — the
 // smallest machine on which per-shard windows do something.
-func buildTriangle(look uint64, parallel bool) (*Engine, [3]*pinger) {
-	return buildTriangleLat([3]uint64{8, 2, 1}, look, parallel)
+func buildTriangle(look uint64, parts int) (*Engine, [3]*pinger) {
+	return buildTriangleLat([3]uint64{8, 2, 1}, look, parts)
 }
 
 // buildTriangleLat is buildTriangle with the in-port latencies of a, b and
-// c given.
-func buildTriangleLat(lat [3]uint64, look uint64, parallel bool) (*Engine, [3]*pinger) {
+// c given, run on at most parts partitions.
+func buildTriangleLat(lat [3]uint64, look uint64, parts int) (*Engine, [3]*pinger) {
 	e := NewEngine()
-	e.SetParallel(parallel)
-	e.SetMaxPartitions(3)
+	e.SetMaxPartitions(parts)
 	e.SetLookahead(look)
 	pa := NewPort[uint64](0)
 	pb := NewPort[uint64](0)
@@ -46,7 +45,7 @@ func buildTriangleLat(lat [3]uint64, look uint64, parallel bool) (*Engine, [3]*p
 // window report follow the wiring — min incoming latency per shard, max
 // window as the grid — and SetLookahead clamps each window individually.
 func TestWindowPlanHetero(t *testing.T) {
-	e, _ := buildTriangle(0, false)
+	e, _ := buildTriangle(0, 1)
 	if got := e.doneGrid(); got != 8 {
 		t.Fatalf("done grid %d, want 8", got)
 	}
@@ -90,10 +89,10 @@ func TestWindowPlanHetero(t *testing.T) {
 // TestWindowDeliveryTiming: on the heterogeneous machine under per-shard
 // windows, every send still arrives on exactly cycle u + latency.
 func TestWindowDeliveryTiming(t *testing.T) {
-	for _, parallel := range []bool{false, true} {
-		e, ps := buildTriangle(0, parallel)
+	for _, parts := range []int{1, 3} {
+		e, ps := buildTriangle(0, parts)
 		if _, err := e.Run(200, nil); !errors.Is(err, ErrBudget) {
-			t.Fatalf("parallel=%v: %v", parallel, err)
+			t.Fatalf("parts=%d: %v", parts, err)
 		}
 		checks := []struct {
 			p    *pinger
@@ -106,13 +105,13 @@ func TestWindowDeliveryTiming(t *testing.T) {
 		}
 		for _, ck := range checks {
 			if len(ck.p.log) == 0 {
-				t.Fatalf("parallel=%v: pinger%d received nothing", parallel, ck.p.key)
+				t.Fatalf("parts=%d: pinger%d received nothing", parts, ck.p.key)
 			}
 			for _, rec := range ck.p.log {
 				u := rec[1] - ck.from*1_000_000
 				if rec[0] != u+ck.lat {
-					t.Fatalf("parallel=%v: send at %d received at %d, want %d (lat %d)",
-						parallel, u, rec[0], u+ck.lat, ck.lat)
+					t.Fatalf("parts=%d: send at %d received at %d, want %d (lat %d)",
+						parts, u, rec[0], u+ck.lat, ck.lat)
 				}
 			}
 		}
@@ -121,34 +120,34 @@ func TestWindowDeliveryTiming(t *testing.T) {
 
 // TestWindowIdentityAcrossModes is the tentpole contract at engine level:
 // on the heterogeneous machine the receipt histories are bit-identical
-// across {serial, parallel} x lookahead settings, and full windows
+// across {1, 3} partitions x lookahead settings, and full windows
 // demonstrably run multi-cycle blocks for the wide shard.
 func TestWindowIdentityAcrossModes(t *testing.T) {
-	run := func(look uint64, parallel bool) ([3][][2]uint64, []ShardWindow) {
-		e, ps := buildTriangle(look, parallel)
+	run := func(look uint64, parts int) ([3][][2]uint64, []ShardWindow) {
+		e, ps := buildTriangle(look, parts)
 		if _, err := e.Run(1000, nil); !errors.Is(err, ErrBudget) {
-			t.Fatalf("look=%d parallel=%v: %v", look, parallel, err)
+			t.Fatalf("look=%d parts=%d: %v", look, parts, err)
 		}
 		return [3][][2]uint64{ps[0].log, ps[1].log, ps[2].log}, e.WindowReport()
 	}
-	ref, _ := run(1, false)
+	ref, _ := run(1, 1)
 	for i, log := range ref {
 		if len(log) == 0 {
 			t.Fatalf("reference: pinger%d received nothing", i+1)
 		}
 	}
 	for _, look := range []uint64{0, 1, 2, 8} {
-		for _, parallel := range []bool{false, true} {
-			got, wr := run(look, parallel)
+		for _, parts := range []int{1, 3} {
+			got, wr := run(look, parts)
 			if fmt.Sprint(got) != fmt.Sprint(ref) {
-				t.Fatalf("look=%d parallel=%v: receipt history diverged", look, parallel)
+				t.Fatalf("look=%d parts=%d: receipt history diverged", look, parts)
 			}
 			if look == 0 {
 				// Shard a (window 8) must have run multi-cycle blocks: far
 				// fewer blocks than cycles. 1000 cycles / window 8 = 125.
 				if wr[0].Blocks == 0 || wr[0].Blocks > 200 {
-					t.Fatalf("parallel=%v: wide shard ran %d blocks over 1000 cycles, want ~125",
-						parallel, wr[0].Blocks)
+					t.Fatalf("parts=%d: wide shard ran %d blocks over 1000 cycles, want ~125",
+						parts, wr[0].Blocks)
 				}
 			}
 		}
@@ -161,7 +160,7 @@ func TestWindowIdentityAcrossModes(t *testing.T) {
 // stops on the identical cycle with full windows and at lookahead 1.
 func TestWindowQuantumStop(t *testing.T) {
 	for _, look := range []uint64{0, 1} {
-		e, _ := buildTriangle(look, false)
+		e, _ := buildTriangle(look, 1)
 		if _, err := e.Run(13, nil); !errors.Is(err, ErrBudget) {
 			t.Fatalf("look=%d: %v", look, err)
 		}
@@ -176,7 +175,7 @@ func TestWindowQuantumStop(t *testing.T) {
 		}
 	}
 	stopAt := func(look uint64) uint64 {
-		e, ps := buildTriangle(look, false)
+		e, ps := buildTriangle(look, 1)
 		stop, err := e.Run(1000, func() bool { return ps[0].sent >= 20 })
 		if err != nil {
 			t.Fatalf("look=%d: %v", look, err)
@@ -193,7 +192,7 @@ func TestWindowQuantumStop(t *testing.T) {
 // with the identical diagnostic with full windows and at lookahead 1.
 func TestWindowWatchdogIdentity(t *testing.T) {
 	run := func(look uint64) (uint64, error) {
-		e, ps := buildTriangle(look, false)
+		e, ps := buildTriangle(look, 1)
 		for _, p := range ps {
 			p.every = 0
 		}
@@ -222,7 +221,7 @@ func TestWindowWatchdogIdentity(t *testing.T) {
 // onto the identical history.
 func TestWindowCheckpointRoundTrip(t *testing.T) {
 	ref := func() [3][][2]uint64 {
-		e, ps := buildTriangle(1, false)
+		e, ps := buildTriangle(1, 1)
 		if _, err := e.Run(200, nil); !errors.Is(err, ErrBudget) {
 			t.Fatal(err)
 		}
@@ -231,19 +230,19 @@ func TestWindowCheckpointRoundTrip(t *testing.T) {
 	refLogs := ref()
 
 	for _, dir := range []struct {
-		name             string
-		srcLook, dstLook uint64
-		srcPar, dstPar   bool
+		name               string
+		srcLook, dstLook   uint64
+		srcParts, dstParts int
 	}{
-		{"full->look1", 0, 1, false, false},
-		{"look1->full", 1, 0, false, true},
+		{"full->look1", 0, 1, 1, 1},
+		{"look1->full", 1, 0, 1, 3},
 	} {
-		src, sps := buildTriangle(dir.srcLook, dir.srcPar)
+		src, sps := buildTriangle(dir.srcLook, dir.srcParts)
 		if _, err := src.Run(13, nil); !errors.Is(err, ErrBudget) {
 			t.Fatalf("%s: %v", dir.name, err)
 		}
 		blob := encodeTriangle(t, src, sps)
-		dst, dps := buildTriangle(dir.dstLook, dir.dstPar)
+		dst, dps := buildTriangle(dir.dstLook, dir.dstParts)
 		decodeTriangle(t, blob, dst, dps)
 		if dst.Now() != 13 {
 			t.Fatalf("%s: restored engine at cycle %d, want 13", dir.name, dst.Now())

@@ -15,9 +15,9 @@ cd "$(dirname "$0")/.."
 go vet ./...
 go build ./...
 # The engine, fault, chip, runner, card, and chaos suites run under the
-# race detector: the parallel executor shares ports, wake flags, and stat
+# race detector: several partitions share ports, wake flags, and stat
 # counters across partition goroutines, the run pool shares a result slice
-# across worker goroutines, and the card dispatcher drives parallel-executor
+# across worker goroutines, and the card dispatcher drives multi-partition
 # chips through migration and restore, so these packages are where a torn
 # read would live (see DESIGN.md "Quiescence and the wake protocol").
 # The epoch/lookahead machinery (DESIGN.md §12) lives on the same hot
@@ -27,14 +27,14 @@ go build ./...
 # (TestLookaheadConformance, TestTimelineLookaheadIdentical,
 # TestLookaheadCheckpointCrossSetting) all run under -race here.
 # The 30m timeout is per test binary. On a 2-CPU host the chip suite
-# takes 1,183 s under -race, with card (97 s) and chaos (430 s) running
-# beside it, and the whole script 22.5 minutes. The executor
-# bit-identity, lookahead and hetero-latency conformance matrices (276,
-# 225 and 186 s) are many full-chip runs, and the sampled-mode
+# takes 1,314 s under -race, with card (124 s) and chaos (491 s) running
+# beside it, and the whole script 25 minutes. The partition-count
+# bit-identity, lookahead and hetero-latency conformance matrices (260,
+# 262 and 220 s) are many full-chip runs, and the sampled-mode
 # suites add more — the accuracy ledger trims itself to the short kernel
 # subset under the detector (race_on_test.go; the full matrix runs
 # un-raced in the no-short suite) but the estimate-invariance matrix
-# keeps its parallel-executor legs raced.
+# keeps its two-partition legs raced.
 # The sampling package rides along: its schedules drive the chip's sampled
 # runs (whose window fan-out shares a result slice across pool workers via
 # experiments.SampledFanOut), and the chip sampling suites in this same
