@@ -172,14 +172,13 @@ type engineEntry struct {
 
 // benchEngine measures engine throughput on every config/variant/partition
 // triple (one partition, and one per CPU) and appends the results to the
-// snapshot file, preserving earlier entries. Variants are the lookahead
-// A/B (classic 1-cycle links; 4-cycle links with epochs off; 4-cycle
-// links with the full conservative window);
-// runs on the same machine must agree on the simulated cycle count, and
-// benchEngine fails if they diverge — it doubles as a conformance check.
-// With -scale paper the sweep also covers the 256-core paper chip. With
-// jsonPath it also writes each run's unified metrics snapshot (the same
-// chip.Snapshot schema smarcosim -json emits) as a JSON array. When cad
+// snapshot file, preserving earlier entries. Variants are the timing
+// models of experiments.EngineBenchVariants; runs on the same machine must
+// agree on the simulated cycle count, and benchEngine fails if they
+// diverge — it doubles as a conformance check. With -scale paper the
+// sweep also covers the 256-core paper chip. With jsonPath it also writes
+// each run's chip.Record — its Snapshot and, beside it, its RunReport, as
+// smarcosim -json emits them — as a JSON array. When cad
 // requests sampling, the entry also carries the sampled-vs-detailed A/B on
 // the medium chip: the same workload at full detail and in sampled mode,
 // the sampled row recording the extrapolated cycle count, its confidence
@@ -200,7 +199,7 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 		NProc:      runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 	}
-	var snapshots []chip.Snapshot
+	var records []chip.Record
 	configs := experiments.EngineBenchConfigs
 	if paper {
 		configs = append(append([]string{}, configs...), "paper")
@@ -212,7 +211,7 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 				// Best of 3: wall time on a shared host swings by tens of
 				// percent run to run; the fastest repeat is the least
 				// perturbed one. Cycle identity across repeats is asserted.
-				r, s, err := experiments.MeasureEngineVariantBest(config, partitionsFor(parallel), v, 3)
+				r, rec, err := experiments.MeasureEngineVariantBest(config, partitionsFor(parallel), v, 3)
 				if err != nil {
 					return err
 				}
@@ -230,17 +229,17 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 				if want, seen := machineCycles[machine]; !seen {
 					machineCycles[machine] = r.Cycles
 				} else if r.Cycles != want {
-					return fmt.Errorf("cycle divergence on %s: parallel=%v lookahead=%d ran %d cycles, earlier runs %d",
-						machine, r.Parallel, r.Lookahead, r.Cycles, want)
+					return fmt.Errorf("cycle divergence on %s: parallel=%v ran %d cycles, earlier runs %d",
+						machine, r.Parallel, r.Cycles, want)
 				}
 				entry.Runs = append(entry.Runs, r)
-				snapshots = append(snapshots, s)
+				records = append(records, rec)
 			}
 		}
 	}
 	if cad.Enabled() {
 		snap.SampledWorkload = experiments.EngineSampledWorkload
-		det, samp, abSnaps, err := experiments.MeasureEngineSampled("medium", cad)
+		det, samp, abRecs, err := experiments.MeasureEngineSampled("medium", cad)
 		if err != nil {
 			return err
 		}
@@ -249,7 +248,7 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 		fmt.Printf("%-8s sampled A/B sampled:  est=%-10d ±%.2f%% wall=%.2fs speedup=%.2fx\n",
 			samp.Config, samp.Cycles, 100*samp.EstError, samp.WallSeconds, samp.Speedup)
 		entry.Runs = append(entry.Runs, det, samp)
-		snapshots = append(snapshots, abSnaps...)
+		records = append(records, abRecs...)
 	}
 	snap.Entries = append(snap.Entries, entry)
 	raw, err := json.MarshalIndent(&snap, "", "  ")
@@ -260,7 +259,7 @@ func benchEngine(path, label, jsonPath string, paper bool, cad sampling.Config) 
 		return err
 	}
 	if jsonPath != "" {
-		raw, err := json.MarshalIndent(snapshots, "", "  ")
+		raw, err := json.MarshalIndent(records, "", "  ")
 		if err != nil {
 			return err
 		}
@@ -381,19 +380,16 @@ func partitionsFor(parallel bool) int {
 	return 1
 }
 
-// benchFloor is one BENCH_floor.json entry: the reference throughput the
-// CI smoke job guards, with the tolerated fractional regression.
-// BENCH_floor.json holds either a single floor object (legacy) or an array
-// of floors, each measured and enforced independently — the array form is
-// how the lookahead A/B (classic vs epoch-fused engine) stays guarded.
+// benchFloor is one entry of the BENCH_floor.json array: a reference
+// throughput the CI smoke job guards, with the tolerated fractional
+// regression. Each floor is measured and enforced independently.
 type benchFloor struct {
 	Config      string `json:"config"`
 	Parallel    bool   `json:"parallel"`
 	LinkLatency uint64 `json:"link_latency,omitempty"`
-	Lookahead   uint64 `json:"lookahead,omitempty"`
 	// Per-class latency overrides, mirroring experiments.EngineBenchVariant:
-	// heterogeneous floors guard per-shard windows alongside the uniform
-	// lookahead A/B.
+	// heterogeneous floors guard per-shard windows beside the uniform
+	// machines.
 	DRAMLatency     uint64  `json:"dram_latency,omitempty"`
 	MainRingLatency uint64  `json:"mainring_latency,omitempty"`
 	SubRingLatency  uint64  `json:"subring_latency,omitempty"`
@@ -413,11 +409,7 @@ func benchSmoke(path string) error {
 	}
 	var floors []benchFloor
 	if err := json.Unmarshal(raw, &floors); err != nil {
-		var one benchFloor
-		if err := json.Unmarshal(raw, &one); err != nil {
-			return fmt.Errorf("%s: %w", path, err)
-		}
-		floors = []benchFloor{one}
+		return fmt.Errorf("%s: %w", path, err)
 	}
 	for _, floor := range floors {
 		if floor.MaxRegress == 0 {
@@ -425,7 +417,6 @@ func benchSmoke(path string) error {
 		}
 		v := experiments.EngineBenchVariant{
 			LinkLatency:     floor.LinkLatency,
-			Lookahead:       floor.Lookahead,
 			DRAMLatency:     floor.DRAMLatency,
 			MainRingLatency: floor.MainRingLatency,
 			SubRingLatency:  floor.SubRingLatency,
@@ -463,7 +454,7 @@ func main() {
 	engine := flag.Bool("engine", false, "measure engine throughput and append to -engine-out")
 	engineOut := flag.String("engine-out", "BENCH_engine.json", "engine snapshot file")
 	engineLabel := flag.String("engine-label", "engine snapshot", "label for the new snapshot entry")
-	jsonOut := flag.String("json", "", "with -engine: write unified metrics snapshots (chip.Snapshot array) to FILE")
+	jsonOut := flag.String("json", "", "with -engine: write each run's snapshot and run report (chip.Record array) to FILE")
 	suite := flag.Bool("suite", false, "time the ablation suite and every other figure at run-pool sizes 1 and GOMAXPROCS, append to -suite-out")
 	suiteOut := flag.String("suite-out", "BENCH_suite.json", "suite snapshot file")
 	suiteLabel := flag.String("suite-label", "suite snapshot", "label for the new suite entry")

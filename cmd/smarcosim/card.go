@@ -123,18 +123,7 @@ func runCard(cfg chip.Config, w *kernels.Workload, opt cardOptions) {
 		fmt.Printf("proc%d: %d instructions, IPC %.3f, %d cycles\n", i, m.Instructions, m.IPC, ch.Now())
 	}
 	if opt.jsonOut != "" {
-		f, err := os.Create(opt.jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		snap := c.Snapshot(opt.label, opt.desc)
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics snapshot -> %s\n", opt.jsonOut)
+		writeJSON(opt.jsonOut, c.Record(opt.label, opt.desc))
 	}
 	os.Exit(0)
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -56,7 +57,6 @@ func main() {
 	mesh := flag.Bool("mesh", false, "use the 2D-mesh baseline interconnect instead of hierarchical rings")
 	partitions := flag.Int("partitions", 0, "engine partitions: at most N (1 = no worker goroutines, 0 = one per CPU); results identical at any value")
 	linkLatency := flag.Uint64("link-latency", 0, "cross-shard link latency in cycles (0 = classic 1-cycle links); latencies >1 license multi-cycle engine epochs")
-	lookahead := flag.Uint64("lookahead", 0, "cap the engine's epoch length in cycles (0 = auto: the full window the link latencies allow); results identical at any setting")
 	dramLatency := flag.Uint64("dram-latency", 0, "memory-class link latency in cycles: MC ring ejects and direct datapaths (0 = -link-latency)")
 	mainringLatency := flag.Uint64("mainring-latency", 0, "main-ring injection latency in cycles (0 = -link-latency)")
 	subringLatency := flag.Uint64("subring-latency", 0, "sub-ring-class latency in cycles: hub ejects and sub-scheduler inboxes (0 = -link-latency)")
@@ -83,7 +83,7 @@ func main() {
 	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (open in chrome://tracing or Perfetto)")
 	traceEvents := flag.Int("trace-events", 0, "max trace events per partition (0 = default)")
 	profile := flag.Bool("profile", false, "print the engine's per-partition wall-time attribution")
-	jsonOut := flag.String("json", "", "write the unified JSON metrics snapshot to this file")
+	jsonOut := flag.String("json", "", "write the run's results snapshot, with the run report beside it, to this JSON file")
 	cpuprofile := flag.String("cpuprofile", "", "write a Go pprof CPU profile of the simulator to this file")
 	ckptEvery := flag.Uint64("checkpoint-every", 0, "write a checkpoint every N cycles (0 = off)")
 	ckptDir := flag.String("checkpoint-dir", ".", "directory for periodic checkpoints")
@@ -111,7 +111,6 @@ func main() {
 	}
 	cfg.Partitions = *partitions
 	cfg.LinkLatency = *linkLatency
-	cfg.Lookahead = *lookahead
 	cfg.DRAMLatency = *dramLatency
 	cfg.MainRingLatency = *mainringLatency
 	cfg.SubRingLatency = *subringLatency
@@ -307,12 +306,13 @@ func main() {
 		log.Fatalf("OUTPUT CHECK FAILED: %v", err)
 	}
 	fmt.Println("output check: PASSED (bit-identical to the Go reference)")
-	la := c.Lookahead()
+	rr := c.RunReport()
+	la := rr.Lookahead
 	if la > 1 {
 		fmt.Printf("engine: lookahead %d, %d epochs over %d cycles (%.2f cycles/epoch)\n",
-			la, c.Epochs(), cycles, float64(cycles)/float64(max(c.Epochs(), 1)))
+			la, rr.Epochs, cycles, float64(cycles)/float64(max(rr.Epochs, 1)))
 	}
-	if wr := c.WindowReport(); len(wr) > 0 {
+	if wr := rr.Windows; len(wr) > 0 {
 		var maxWin uint64
 		hist := map[uint64]int{}
 		for _, sw := range wr {
@@ -365,18 +365,7 @@ func main() {
 		fmt.Print(c.Profile().String())
 	}
 	if *jsonOut != "" {
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatal(err)
-		}
-		snap := c.Snapshot(*bench, fmt.Sprintf("%s tasks=%d seed=%d scale=%d", w.Name, len(w.Tasks), *seed, *scale))
-		if err := snap.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("metrics snapshot -> %s\n", *jsonOut)
+		writeJSON(*jsonOut, c.Record(*bench, fmt.Sprintf("%s tasks=%d seed=%d scale=%d", w.Name, len(w.Tasks), *seed, *scale)))
 	}
 
 	m := c.Metrics()
@@ -419,6 +408,19 @@ cores killed      %d  (tasks migrated %d, rollback writes %d)
 		fmt.Printf("run-average power: %.2f W\n", power.AvgPower(b, act))
 	}
 	os.Exit(0)
+}
+
+// writeJSON writes a run record (chip.Record or card.Record) to path as
+// indented JSON.
+func writeJSON(path string, rec any) {
+	raw, err := json.MarshalIndent(rec, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(raw, '\n'), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("metrics snapshot -> %s\n", path)
 }
 
 // chipInterruptExit is the single-chip graceful-shutdown path: the engine

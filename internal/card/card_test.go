@@ -174,8 +174,8 @@ func TestEngineErrorMigratesTasks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if linkLatency > 1 && wedged.Lookahead() != linkLatency {
-				t.Fatalf("wedged chip lookahead %d, want %d", wedged.Lookahead(), linkLatency)
+			if la := wedged.RunReport().Lookahead; linkLatency > 1 && la != linkLatency {
+				t.Fatalf("wedged chip lookahead %d, want %d", la, linkLatency)
 			}
 			c.chips[0] = wedged
 			if _, err := c.Run(w.Tasks, 60_000_000); err != nil {

@@ -1,14 +1,12 @@
 // Card-level observability: the dispatcher's accounting report, the
-// degraded-throughput metrics, and the unified JSON snapshot mirroring
-// chip.Snapshot's schema one level up.
+// degraded-throughput metrics, and the JSON snapshot and run record
+// mirroring chip.Snapshot and chip.Record one level up.
 package card
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc64"
-	"io"
 
 	"smarco/internal/chip"
 )
@@ -231,9 +229,18 @@ func (c *Card) Snapshot(label, workload string) Snapshot {
 	return s
 }
 
-// WriteJSON renders the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// Record is a card run as smarcosim -json writes it: the card's Snapshot
+// and, beside it, each processor's chip.RunReport in processor order.
+type Record struct {
+	Snapshot Snapshot         `json:"snapshot"`
+	Run      []chip.RunReport `json:"run"`
+}
+
+// Record captures the card's Snapshot and its processors' run reports.
+func (c *Card) Record(label, workload string) Record {
+	r := Record{Snapshot: c.Snapshot(label, workload)}
+	for _, ch := range c.chips {
+		r.Run = append(r.Run, ch.RunReport())
+	}
+	return r
 }

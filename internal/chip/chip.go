@@ -76,17 +76,12 @@ type Config struct {
 	// shard fed only by latency-8 links runs 8-cycle blocks while the
 	// scheduler shard steps cycle by cycle (DESIGN.md §14). As with
 	// LinkLatency, these define the simulated machine — results are
-	// bit-identical across partition counts and lookahead caps on the same
-	// latency profile, but differ between profiles.
+	// bit-identical across partition counts on the same latency profile,
+	// but differ between profiles.
 	DRAMLatency     uint64
 	MainRingLatency uint64
 	SubRingLatency  uint64
 	CreditLatency   uint64
-	// Lookahead caps every shard's window in cycles. 0 means "auto": use
-	// the full conservative window derived from the link latencies. Values
-	// above a shard's window leave it unchanged; results are bit-identical
-	// for every setting on the same machine.
-	Lookahead uint64
 	// ClockHz converts cycles to seconds for cross-machine comparisons
 	// (SmarCo runs at 1.5 GHz).
 	ClockHz float64
@@ -233,7 +228,6 @@ func Build(cfg Config, store *mem.Sparse) (*Chip, error) {
 		wd = sim.DefaultWatchdogCycles
 	}
 	c.eng.SetWatchdog(wd)
-	c.eng.SetLookahead(cfg.Lookahead)
 	var err error
 	if cfg.Topology == "mesh" {
 		err = c.buildMesh()
@@ -584,23 +578,9 @@ func (c *Chip) submitNow(tasks []kernels.Task) {
 // Now returns the current cycle.
 func (c *Chip) Now() uint64 { return c.eng.Now() }
 
-// Lookahead returns the engine's effective epoch window in cycles: the
-// conservative window licensed by the cross-shard link latencies, clamped
-// by Config.Lookahead (1 on the mesh topology, which has no cross links).
-func (c *Chip) Lookahead() uint64 { return c.eng.Lookahead() }
-
-// Epochs counts engine synchronization rounds so far (see Snapshot.Epochs).
+// Epochs counts the multi-cycle windows the engine has run; RunReport
+// carries it with the other run facts.
 func (c *Chip) Epochs() uint64 { return c.eng.Epochs() }
-
-// Handoffs reports how many engine dispatches went to the workers and how
-// many the engine made while they ran (see
-// sim.Engine.Handoffs). A wall-time diagnostic, not in snapshots.
-func (c *Chip) Handoffs() (handed, dispatched uint64) { return c.eng.Handoffs() }
-
-// WindowReport returns the engine's per-shard lookahead-window report:
-// each shard's safe fused-block window under the configured latencies and
-// Lookahead cap, plus the fused blocks executed so far (DESIGN.md §14).
-func (c *Chip) WindowReport() []sim.ShardWindow { return c.eng.WindowReport() }
 
 // Step advances one cycle (exposed for fine-grained harnesses).
 func (c *Chip) Step() { c.eng.Step() }

@@ -13,18 +13,11 @@ import (
 	"smarco/internal/snapshot"
 )
 
-// normalizedSnapshot serializes a chip snapshot with the fields that
-// depend on the partition count blanked: how many partitions ran and which
-// one each shard landed on are wall-time concerns, everything else
-// (cycles, metrics, per-shard tick counts) must be bit-identical at every
-// partition count.
-func normalizedSnapshot(t *testing.T, c *Chip) []byte {
+// snapshotJSON is a snapshot's bytes, for identity comparisons: a
+// Snapshot holds only results, so runs of one machine and workload must
+// match byte for byte however the host ran them.
+func snapshotJSON(t *testing.T, s Snapshot) []byte {
 	t.Helper()
-	s := c.Snapshot("identity", "kmp")
-	s.Chip.Parallel = false
-	for i := range s.Load {
-		s.Load[i].Partition = 0
-	}
 	raw, err := json.Marshal(s)
 	if err != nil {
 		t.Fatal(err)
@@ -54,7 +47,7 @@ func TestNegativePartitionsRejected(t *testing.T) {
 // TestExecutorBitIdentity is the partitioning-invariance contract: one
 // partition, two and three partitions, and a checkpoint restored into a
 // chip on three partitions all produce the same cycle count and the same
-// (normalized) snapshot — with and without fault injection, and on one
+// snapshot — with and without fault injection, and on one
 // heavy workload whose dispatches the engine hands to its workers.
 func TestExecutorBitIdentity(t *testing.T) {
 	variants := []struct {
@@ -90,17 +83,17 @@ func TestExecutorBitIdentity(t *testing.T) {
 			return c, cycles
 		}
 		ref, refCycles := run(func(c *Config) { c.Partitions = 1 })
-		refSnap := normalizedSnapshot(t, ref)
+		refSnap := snapshotJSON(t, ref.Snapshot("identity", "kmp"))
 		for _, v := range variants {
 			c, cycles := run(v.mutate)
 			if cycles != refCycles {
 				t.Fatalf("%s: %d cycles, one partition %d", v.name, cycles, refCycles)
 			}
-			if snap := normalizedSnapshot(t, c); !bytes.Equal(snap, refSnap) {
+			if snap := snapshotJSON(t, c.Snapshot("identity", "kmp")); !bytes.Equal(snap, refSnap) {
 				t.Fatalf("%s: snapshot diverged from the one-partition run:\n%s\nvs\n%s", v.name, snap, refSnap)
 			}
-			if h, d := c.Handoffs(); h == 0 {
-				t.Fatalf("%s: none of %d dispatches handed to the workers", v.name, d)
+			if rr := c.RunReport(); rr.Handed == 0 {
+				t.Fatalf("%s: none of %d dispatches handed to the workers", v.name, rr.Dispatched)
 			}
 		}
 	})
@@ -132,7 +125,7 @@ func TestExecutorBitIdentity(t *testing.T) {
 			if err := wRef.Check(); err != nil {
 				t.Fatal(err)
 			}
-			refSnap := normalizedSnapshot(t, ref)
+			refSnap := snapshotJSON(t, ref.Snapshot("identity", "kmp"))
 
 			for _, v := range variants {
 				cfg := base
@@ -150,7 +143,7 @@ func TestExecutorBitIdentity(t *testing.T) {
 				if cycles != refCycles {
 					t.Fatalf("%s: %d cycles, one partition %d", v.name, cycles, refCycles)
 				}
-				if snap := normalizedSnapshot(t, c); !bytes.Equal(snap, refSnap) {
+				if snap := snapshotJSON(t, c.Snapshot("identity", "kmp")); !bytes.Equal(snap, refSnap) {
 					t.Fatalf("%s: snapshot diverged from the one-partition run:\n%s\nvs\n%s",
 						v.name, snap, refSnap)
 				}
@@ -189,7 +182,7 @@ func TestExecutorBitIdentity(t *testing.T) {
 			if resCycles != refCycles {
 				t.Fatalf("restored three-partition run: %d cycles, one partition %d", resCycles, refCycles)
 			}
-			if snap := normalizedSnapshot(t, res); !bytes.Equal(snap, refSnap) {
+			if snap := snapshotJSON(t, res.Snapshot("identity", "kmp")); !bytes.Equal(snap, refSnap) {
 				t.Fatalf("restored three-partition run: snapshot diverged from the one-partition run")
 			}
 		})

@@ -1,7 +1,6 @@
 package chip
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -110,16 +109,17 @@ func TestGoldenSnapshots(t *testing.T) {
 			if err := w.Check(); err != nil {
 				t.Fatal(err)
 			}
-			var buf bytes.Buffer
-			if err := c.Snapshot("golden", name).WriteJSON(&buf); err != nil {
+			raw, err := json.MarshalIndent(c.Snapshot("golden", name), "", "  ")
+			if err != nil {
 				t.Fatal(err)
 			}
+			raw = append(raw, '\n')
 			path := filepath.Join("testdata", "golden", name+".json")
 			if *updateGolden {
 				if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, raw, 0o644); err != nil {
 					t.Fatal(err)
 				}
 				return
@@ -132,7 +132,7 @@ func TestGoldenSnapshots(t *testing.T) {
 			if err := json.Unmarshal(wantRaw, &want); err != nil {
 				t.Fatalf("golden file: %v", err)
 			}
-			if err := json.Unmarshal(buf.Bytes(), &got); err != nil {
+			if err := json.Unmarshal(raw, &got); err != nil {
 				t.Fatalf("snapshot: %v", err)
 			}
 			diffJSON(t, name, want, got)

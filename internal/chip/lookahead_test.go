@@ -2,7 +2,6 @@ package chip
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"strings"
@@ -10,33 +9,19 @@ import (
 
 	"smarco/internal/fault"
 	"smarco/internal/kernels"
+	"smarco/internal/mem"
 	"smarco/internal/sim"
 	"smarco/internal/snapshot"
 )
 
-// lookaheadSnapshot normalizes away execution-mode facts that legitimately
-// vary across lookahead settings and partition counts — the partition
-// count, the epoch count, the effective window, the partition assignment.
-// Everything else (cycles, metrics, per-shard tick counts) must be
-// bit-identical.
-func lookaheadSnapshot(t *testing.T, c *Chip, kernel string) []byte {
-	t.Helper()
-	s := c.Snapshot("lookahead", kernel)
-	s.Chip.Parallel = false
-	s.Chip.Lookahead = 0
-	s.Epochs = 0
-	for i := range s.Load {
-		s.Load[i].Partition = 0
-	}
-	// Windows are a pure function of the wiring and the Lookahead cap, but
-	// the per-shard Blocks counts (and the cap's effect on the windows) are
-	// wall-time facts like Epochs: normalize the whole report away.
-	s.Windows = nil
-	raw, err := json.Marshal(s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return raw
+// newCapped is New with every shard window capped at look cycles (0
+// leaves each shard its full window) through the engine's SetLookahead
+// hook. The cap changes how the host runs the chip, never its results, so
+// the matrices below use it to build cycle-by-cycle references.
+func newCapped(cfg Config, store *mem.Sparse, look uint64) *Chip {
+	c := New(cfg, store)
+	c.eng.SetLookahead(look)
+	return c
 }
 
 // lookaheadFaultConfig exercises every fault class under the epoch path.
@@ -52,7 +37,7 @@ func lookaheadFaultConfig() fault.Config {
 
 // TestLookaheadConformance is the tentpole contract at chip level: on a
 // LinkLatency-4 machine, every kernel produces the identical cycle count
-// and normalized snapshot for lookahead 1, 2, 4, and auto, on one and two
+// and snapshot for lookahead 1, 2, 4, and auto, on one and two
 // partitions, with and without fault injection. The reference is always
 // lookahead 1 on one partition — classic cycle-by-cycle execution.
 func TestLookaheadConformance(t *testing.T) {
@@ -71,12 +56,11 @@ func TestLookaheadConformance(t *testing.T) {
 					}
 					base := SmallConfig()
 					base.LinkLatency = 4
-					base.Lookahead = 1
 					if faulty {
 						base.Fault = lookaheadFaultConfig()
 					}
 					wRef := mk()
-					ref := New(base, wRef.Mem)
+					ref := newCapped(base, wRef.Mem, 1)
 					ref.Submit(wRef.Tasks)
 					refCycles, err := ref.Run(30_000_000)
 					if err != nil {
@@ -85,7 +69,7 @@ func TestLookaheadConformance(t *testing.T) {
 					if err := wRef.Check(); err != nil {
 						t.Fatal(err)
 					}
-					refSnap := lookaheadSnapshot(t, ref, kn)
+					refSnap := snapshotJSON(t, ref.Snapshot("lookahead", kn))
 
 					for _, look := range []uint64{1, 2, 4, 0} { // 0 = auto
 						for _, parts := range []int{1, 2} {
@@ -93,10 +77,9 @@ func TestLookaheadConformance(t *testing.T) {
 								continue // that is the reference
 							}
 							cfg := base
-							cfg.Lookahead = look
 							cfg.Partitions = parts
 							w := mk()
-							c := New(cfg, w.Mem)
+							c := newCapped(cfg, w.Mem, look)
 							c.Submit(w.Tasks)
 							cycles, err := c.Run(30_000_000)
 							name := fmt.Sprintf("look=%d parts=%d", look, parts)
@@ -113,14 +96,14 @@ func TestLookaheadConformance(t *testing.T) {
 								if want == 0 || want > 4 {
 									want = 4
 								}
-								if got := c.Lookahead(); got != want {
+								if got := c.RunReport().Lookahead; got != want {
 									t.Fatalf("%s: effective lookahead %d, want %d", name, got, want)
 								}
 								if c.Epochs() == 0 {
 									t.Fatalf("%s: fused epoch path never ran", name)
 								}
 							}
-							if snap := lookaheadSnapshot(t, c, kn); !bytes.Equal(snap, refSnap) {
+							if snap := snapshotJSON(t, c.Snapshot("lookahead", kn)); !bytes.Equal(snap, refSnap) {
 								t.Fatalf("%s: snapshot diverged from reference:\n%s\nvs\n%s",
 									name, snap, refSnap)
 							}
@@ -145,8 +128,7 @@ func TestTimelineLookaheadIdentical(t *testing.T) {
 		}
 		cfg := SmallConfig()
 		cfg.LinkLatency = 4
-		cfg.Lookahead = look
-		c := New(cfg, w.Mem)
+		c := newCapped(cfg, w.Mem, look)
 		c.Submit(w.Tasks)
 		samples, _, err := c.RunWithTimeline(3_000_000, 250)
 		if err != nil {
@@ -187,7 +169,7 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSnap := lookaheadSnapshot(t, ref, "kmp")
+	refSnap := snapshotJSON(t, ref.Snapshot("lookahead", "kmp"))
 
 	for _, tc := range []struct {
 		name     string
@@ -200,10 +182,8 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			srcCfg := base
-			srcCfg.Lookahead = tc.srcLook
 			wSrc := mk()
-			src := New(srcCfg, wSrc.Mem)
+			src := newCapped(base, wSrc.Mem, tc.srcLook)
 			src.Submit(wSrc.Tasks)
 			// Stop mid-run on an exact budget; 1003 is deliberately not a
 			// multiple of the 4-cycle grid.
@@ -217,10 +197,9 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 			blob := src.Checkpoint().Encode()
 
 			dstCfg := base
-			dstCfg.Lookahead = tc.dstLook
 			dstCfg.Partitions = tc.dstParts
 			wDst := mk()
-			dst := New(dstCfg, wDst.Mem)
+			dst := newCapped(dstCfg, wDst.Mem, tc.dstLook)
 			dst.Submit(wDst.Tasks)
 			loaded, err := snapshot.Decode(blob)
 			if err != nil {
@@ -239,7 +218,7 @@ func TestLookaheadCheckpointCrossSetting(t *testing.T) {
 			if cycles != refCycles {
 				t.Fatalf("restored run: %d cycles, reference %d", cycles, refCycles)
 			}
-			if snap := lookaheadSnapshot(t, dst, "kmp"); !bytes.Equal(snap, refSnap) {
+			if snap := snapshotJSON(t, dst.Snapshot("lookahead", "kmp")); !bytes.Equal(snap, refSnap) {
 				t.Fatal("restored run: snapshot diverged from uninterrupted reference")
 			}
 		})
@@ -261,7 +240,7 @@ func heteroTestConfig() Config {
 
 // TestHeteroLatencyConformance is the per-shard-window contract at chip
 // level: on the heterogeneous DRAM-8/NoC-2/credit-1 machine, every kernel
-// produces the identical cycle count and normalized snapshot on one and
+// produces the identical cycle count and snapshot on one and
 // two partitions, across SetLookahead clamps, with and without fault
 // injection. The reference is the one-partition run at lookahead 1 —
 // cycle-by-cycle execution of the same machine.
@@ -280,12 +259,11 @@ func TestHeteroLatencyConformance(t *testing.T) {
 						return kernels.MustNew(kn, kernels.Config{Seed: 7, Tasks: 4})
 					}
 					base := heteroTestConfig()
-					base.Lookahead = 1
 					if faulty {
 						base.Fault = lookaheadFaultConfig()
 					}
 					wRef := mk()
-					ref := New(base, wRef.Mem)
+					ref := newCapped(base, wRef.Mem, 1)
 					ref.Submit(wRef.Tasks)
 					refCycles, err := ref.Run(30_000_000)
 					if err != nil {
@@ -294,7 +272,7 @@ func TestHeteroLatencyConformance(t *testing.T) {
 					if err := wRef.Check(); err != nil {
 						t.Fatal(err)
 					}
-					refSnap := lookaheadSnapshot(t, ref, kn)
+					refSnap := snapshotJSON(t, ref.Snapshot("lookahead", kn))
 
 					for _, tc := range []struct {
 						look  uint64
@@ -307,10 +285,9 @@ func TestHeteroLatencyConformance(t *testing.T) {
 						{0, 2},
 					} {
 						cfg := base
-						cfg.Lookahead = tc.look
 						cfg.Partitions = tc.parts
 						w := mk()
-						c := New(cfg, w.Mem)
+						c := newCapped(cfg, w.Mem, tc.look)
 						c.Submit(w.Tasks)
 						cycles, err := c.Run(30_000_000)
 						name := fmt.Sprintf("look=%d parts=%d", tc.look, tc.parts)
@@ -323,7 +300,7 @@ func TestHeteroLatencyConformance(t *testing.T) {
 						if cycles != refCycles {
 							t.Fatalf("%s: %d cycles, reference %d", name, cycles, refCycles)
 						}
-						if snap := lookaheadSnapshot(t, c, kn); !bytes.Equal(snap, refSnap) {
+						if snap := snapshotJSON(t, c.Snapshot("lookahead", kn)); !bytes.Equal(snap, refSnap) {
 							t.Fatalf("%s: snapshot diverged from reference:\n%s\nvs\n%s",
 								name, snap, refSnap)
 						}
@@ -356,7 +333,7 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSnap := lookaheadSnapshot(t, ref, "kmp")
+	refSnap := snapshotJSON(t, ref.Snapshot("lookahead", "kmp"))
 
 	for _, tc := range []struct {
 		name     string
@@ -370,10 +347,8 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			srcCfg := base
-			srcCfg.Lookahead = tc.srcLook
 			wSrc := mk()
-			src := New(srcCfg, wSrc.Mem)
+			src := newCapped(base, wSrc.Mem, tc.srcLook)
 			src.Submit(wSrc.Tasks)
 			// Stop on an exact budget not aligned to the 8-cycle grid.
 			mid := refCycles/2 + 3
@@ -386,10 +361,9 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 			blob := src.Checkpoint().Encode()
 
 			dstCfg := base
-			dstCfg.Lookahead = tc.dstLook
 			dstCfg.Partitions = tc.dstParts
 			wDst := mk()
-			dst := New(dstCfg, wDst.Mem)
+			dst := newCapped(dstCfg, wDst.Mem, tc.dstLook)
 			dst.Submit(wDst.Tasks)
 			loaded, err := snapshot.Decode(blob)
 			if err != nil {
@@ -408,7 +382,7 @@ func TestHeteroCheckpointCrossSetting(t *testing.T) {
 			if cycles != refCycles {
 				t.Fatalf("restored run: %d cycles, reference %d", cycles, refCycles)
 			}
-			if snap := lookaheadSnapshot(t, dst, "kmp"); !bytes.Equal(snap, refSnap) {
+			if snap := snapshotJSON(t, dst.Snapshot("lookahead", "kmp")); !bytes.Equal(snap, refSnap) {
 				t.Fatal("restored run: snapshot diverged from uninterrupted reference")
 			}
 		})
@@ -435,21 +409,18 @@ func FuzzEpochBoundaries(f *testing.F) {
 		}
 		base := SmallConfig()
 		base.LinkLatency = linkLat
-		base.Lookahead = 1
 
 		wRef := mk()
-		ref := New(base, wRef.Mem)
+		ref := newCapped(base, wRef.Mem, 1)
 		ref.Submit(wRef.Tasks)
 		refCycles, err := ref.Run(30_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refSnap := lookaheadSnapshot(t, ref, "kmp")
+		refSnap := snapshotJSON(t, ref.Snapshot("lookahead", "kmp"))
 
-		cfg := base
-		cfg.Lookahead = look
 		w := mk()
-		c := New(cfg, w.Mem)
+		c := newCapped(base, w.Mem, look)
 		c.Submit(w.Tasks)
 		// Two bounded slices whose ends land anywhere relative to the epoch
 		// grid, then run to completion.
@@ -478,7 +449,7 @@ func FuzzEpochBoundaries(f *testing.F) {
 			t.Fatalf("linkLat=%d look=%d slices=(%d,%d): %d cycles, reference %d",
 				linkLat, look, s1, s2, cycles, refCycles)
 		}
-		if snap := lookaheadSnapshot(t, c, "kmp"); !bytes.Equal(snap, refSnap) {
+		if snap := snapshotJSON(t, c.Snapshot("lookahead", "kmp")); !bytes.Equal(snap, refSnap) {
 			t.Fatalf("linkLat=%d look=%d slices=(%d,%d): snapshot diverged",
 				linkLat, look, s1, s2)
 		}
@@ -511,21 +482,17 @@ func FuzzHeteroWindowBoundaries(f *testing.F) {
 		base.SubRingLatency = ring
 		base.CreditLatency = credit
 
-		refCfg := base
-		refCfg.Lookahead = 1
 		wRef := mk()
-		ref := New(refCfg, wRef.Mem)
+		ref := newCapped(base, wRef.Mem, 1)
 		ref.Submit(wRef.Tasks)
 		refCycles, err := ref.Run(30_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
-		refSnap := lookaheadSnapshot(t, ref, "kmp")
+		refSnap := snapshotJSON(t, ref.Snapshot("lookahead", "kmp"))
 
-		cfg := base
-		cfg.Lookahead = look
 		w := mk()
-		c := New(cfg, w.Mem)
+		c := newCapped(base, w.Mem, look)
 		c.Submit(w.Tasks)
 		for _, slice := range []uint64{s1, s2} {
 			if c.CompletedTasks() >= 3 {
@@ -552,7 +519,7 @@ func FuzzHeteroWindowBoundaries(f *testing.F) {
 			t.Fatalf("dram=%d ring=%d credit=%d look=%d slices=(%d,%d): %d cycles, reference %d",
 				dram, ring, credit, look, s1, s2, cycles, refCycles)
 		}
-		if snap := lookaheadSnapshot(t, c, "kmp"); !bytes.Equal(snap, refSnap) {
+		if snap := snapshotJSON(t, c.Snapshot("lookahead", "kmp")); !bytes.Equal(snap, refSnap) {
 			t.Fatalf("dram=%d ring=%d credit=%d look=%d slices=(%d,%d): snapshot diverged",
 				dram, ring, credit, look, s1, s2)
 		}

@@ -1,10 +1,9 @@
-// Observability: event tracing, wall-time profiling, and the unified JSON
-// metrics snapshot. See DESIGN.md §8 for the mid-run snapshot (Settle)
-// contract these build on.
+// Observability: event tracing, wall-time profiling, the results
+// snapshot and the run report beside it. See DESIGN.md §8 for the mid-run
+// snapshot (Settle) contract these build on.
 package chip
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -83,7 +82,7 @@ func (c *Chip) Profile() *sim.Profile { return c.prof }
 // counts.
 func (c *Chip) LoadReport() []sim.ShardLoad { return c.eng.LoadReport() }
 
-// SnapshotChip summarizes the configuration a snapshot was taken on.
+// SnapshotChip summarizes the machine a snapshot was taken on.
 type SnapshotChip struct {
 	SubRings    int    `json:"sub_rings"`
 	CoresPerSub int    `json:"cores_per_sub"`
@@ -91,18 +90,12 @@ type SnapshotChip struct {
 	Threads     int    `json:"threads"`
 	MCs         int    `json:"mcs"`
 	Topology    string `json:"topology"`
-	Parallel    bool   `json:"parallel"` // Config.EffectiveParallel for this run
-	// LinkLatency is the configured cross-shard link delay (0 = historical
-	// 1-cycle links); Lookahead is the effective epoch window the engine
-	// ran with — the conservative window derived from the link latencies,
-	// clamped by Config.Lookahead, reported only when > 1 (the classic
-	// cycle-by-cycle machine omits it). Both are execution-mode facts,
-	// like Parallel: results are identical across Lookahead settings.
+	// LinkLatency is the configured cross-shard link delay (0 = 1-cycle
+	// links). It defines the simulated machine: cycle counts change with
+	// it.
 	LinkLatency uint64 `json:"link_latency,omitempty"`
-	Lookahead   uint64 `json:"lookahead,omitempty"`
 	// Per-class cross-link latencies (DESIGN.md §14); reported only when
-	// they override the uniform LinkLatency. Unlike LinkLatency they are
-	// configuration facts that define the simulated machine per class.
+	// they override the uniform LinkLatency, which they refine per class.
 	DRAMLatency     uint64  `json:"dram_latency,omitempty"`
 	MainRingLatency uint64  `json:"mainring_latency,omitempty"`
 	SubRingLatency  uint64  `json:"subring_latency,omitempty"`
@@ -110,20 +103,28 @@ type SnapshotChip struct {
 	ClockHz         float64 `json:"clock_hz"`
 }
 
-// Snapshot is the unified JSON metrics export shared by smarcosim and
-// smarcobench: one schema whether the run came from a benchmark binary, an
-// experiment harness, or a mid-run sample. Metrics are settled (see
-// Chip.Metrics) at capture time.
+// ShardTicks is one shard's row of Snapshot.Load: its component count and
+// the component ticks it ran, with their share of the chip's total.
+type ShardTicks struct {
+	Shard      int     `json:"shard"`
+	Label      string  `json:"label"`
+	Components int     `json:"components"`
+	Ticks      uint64  `json:"ticks"`
+	TickShare  float64 `json:"tick_share"`
+}
+
+// Snapshot is what the simulated machine did: its configuration, cycle
+// count and metrics, shared by smarcosim, smarcobench and the goldens.
+// It holds nothing about how the host ran it (see RunReport), so two runs
+// of one machine and workload give byte-identical snapshots at every
+// partition count and window cap, across checkpoint restores, and with
+// tracing or profiling on. Metrics are settled (see Chip.Metrics) at
+// capture time.
 type Snapshot struct {
 	Label    string  `json:"label,omitempty"`
 	Workload string  `json:"workload,omitempty"`
 	Cycles   uint64  `json:"cycles"`
 	Seconds  float64 `json:"seconds"` // simulated time at ClockHz
-	// Epochs counts engine synchronization rounds: with lookahead n the
-	// engine barriers once per epoch instead of once per cycle, so
-	// Cycles/Epochs approaches the lookahead window on busy runs. A
-	// wall-time diagnostic, not simulated state (never checkpointed).
-	Epochs uint64 `json:"epochs,omitempty"`
 	// Sampled marks a sampled run (DESIGN.md §13): Cycles/Seconds are the
 	// SMARTS extrapolation from SampleWindows detailed windows, EstError is
 	// the 95% confidence half-width relative to Cycles, and Metrics
@@ -134,26 +135,10 @@ type Snapshot struct {
 	EstError      float64      `json:"est_error,omitempty"`
 	Chip          SnapshotChip `json:"chip"`
 	Metrics       Metrics      `json:"metrics"`
-	// Load is the deterministic per-shard load report (component-tick
-	// counts and shares plus the shard→partition assignment). Tick counts
-	// and shares are identical across hosts and partition counts; the
-	// Partition column reflects this run's assignment (all zero on one
-	// partition).
-	Load    []sim.ShardLoad        `json:"load,omitempty"`
-	Profile []sim.PartitionProfile `json:"profile,omitempty"`
-	// Windows is the per-shard lookahead-window report (DESIGN.md §14),
-	// present whenever some shard may fuse multi-cycle blocks: each
-	// shard's safe window (a pure function of the wiring and the Lookahead
-	// cap — the window histogram) and the fused blocks it executed (an
-	// wall-time diagnostic that depends on the partition count, like
-	// Epochs).
-	Windows []sim.ShardWindow `json:"windows,omitempty"`
-	// TraceDropped counts trace events lost to the buffer cap (only
-	// meaningful with tracing enabled; 0 means the trace is complete).
-	TraceDropped uint64 `json:"trace_dropped,omitempty"`
+	Load          []ShardTicks `json:"load,omitempty"`
 }
 
-// Snapshot captures the chip's current metrics under the unified schema.
+// Snapshot captures the chip's current results.
 func (c *Chip) Snapshot(label, workload string) Snapshot {
 	topo := c.Config.Topology
 	if topo == "" {
@@ -164,7 +149,6 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 		Workload: workload,
 		Cycles:   c.Now(),
 		Seconds:  c.Seconds(c.Now()),
-		Epochs:   c.eng.Epochs(),
 		Chip: SnapshotChip{
 			SubRings:        c.Config.SubRings,
 			CoresPerSub:     c.Config.CoresPerSub,
@@ -172,7 +156,6 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 			Threads:         c.Config.Threads(),
 			MCs:             c.Config.MCs,
 			Topology:        topo,
-			Parallel:        c.Config.EffectiveParallel(),
 			LinkLatency:     c.Config.LinkLatency,
 			DRAMLatency:     c.Config.DRAMLatency,
 			MainRingLatency: c.Config.MainRingLatency,
@@ -181,7 +164,6 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 			ClockHz:         c.Config.ClockHz,
 		},
 		Metrics: c.Metrics(),
-		Load:    c.LoadReport(),
 	}
 	if r := c.Sampled(); r != nil {
 		s.Sampled = true
@@ -190,35 +172,65 @@ func (c *Chip) Snapshot(label, workload string) Snapshot {
 		s.Cycles = r.EstCycles
 		s.Seconds = c.Seconds(r.EstCycles)
 	}
-	if la := c.eng.Lookahead(); la > 1 {
-		s.Chip.Lookahead = la
-	}
-	// The window report appears whenever some shard may run multi-cycle
-	// blocks, so 1-cycle-link snapshots stay byte-identical to older
-	// engine versions.
-	if wr := c.eng.WindowReport(); len(wr) > 0 {
-		var maxWin uint64
-		for _, w := range wr {
-			if w.Window > maxWin {
-				maxWin = w.Window
-			}
-		}
-		if maxWin > 1 {
-			s.Windows = wr
-		}
-	}
-	if c.prof != nil {
-		s.Profile = c.prof.Partitions()
-	}
-	if c.trace != nil {
-		s.TraceDropped = c.trace.Dropped()
+	for _, l := range c.LoadReport() {
+		s.Load = append(s.Load, ShardTicks{Shard: l.Shard, Label: l.Label,
+			Components: l.Components, Ticks: l.Ticks, TickShare: l.TickShare})
 	}
 	return s
 }
 
-// WriteJSON renders the snapshot as indented JSON.
-func (s Snapshot) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(s)
+// RunReport is how the host ran the chip: facts that change with the
+// partition count, the window cap, profiling and tracing, and never with
+// the simulated machine. Every writer of a Snapshot writes one beside it.
+type RunReport struct {
+	// Partitions is the partition count; Load is the engine's load report,
+	// which gives each shard's partition beside its tick counts.
+	Partitions int             `json:"partitions"`
+	Load       []sim.ShardLoad `json:"load"`
+	// Lookahead is the narrowest effective shard window in cycles (1 on
+	// the mesh, which has no cross links); Windows gives each shard's
+	// window and the multi-cycle blocks it ran, and Epochs counts the
+	// multi-cycle windows (DESIGN.md §12, §14).
+	Lookahead uint64            `json:"lookahead"`
+	Windows   []sim.ShardWindow `json:"windows"`
+	Epochs    uint64            `json:"epochs"`
+	// Handed of Dispatched dispatches went to the workers (see
+	// sim.Engine.Handoffs).
+	Handed     uint64                 `json:"handed"`
+	Dispatched uint64                 `json:"dispatched"`
+	Profile    []sim.PartitionProfile `json:"profile,omitempty"`
+	// TraceDropped counts trace events lost to the buffer cap (0 means the
+	// trace, when enabled, is complete).
+	TraceDropped uint64 `json:"trace_dropped,omitempty"`
+}
+
+// RunReport captures how the host has run the chip so far.
+func (c *Chip) RunReport() RunReport {
+	r := RunReport{
+		Partitions: c.eng.Partitions(),
+		Load:       c.LoadReport(),
+		Lookahead:  c.eng.Lookahead(),
+		Windows:    c.eng.WindowReport(),
+		Epochs:     c.eng.Epochs(),
+	}
+	r.Handed, r.Dispatched = c.eng.Handoffs()
+	if c.prof != nil {
+		r.Profile = c.prof.Partitions()
+	}
+	if c.trace != nil {
+		r.TraceDropped = c.trace.Dropped()
+	}
+	return r
+}
+
+// Record is a chip run as smarcosim -json and smarcobench -engine -json
+// write it: the results, and beside them how the host ran them.
+type Record struct {
+	Snapshot Snapshot  `json:"snapshot"`
+	Run      RunReport `json:"run"`
+}
+
+// Record captures the chip's Snapshot and RunReport together.
+func (c *Chip) Record(label, workload string) Record {
+	return Record{Snapshot: c.Snapshot(label, workload), Run: c.RunReport()}
 }

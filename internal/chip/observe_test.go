@@ -11,9 +11,9 @@ import (
 
 // TestTracingIsObservationOnly: enabling the full observability stack
 // (event trace + wall-time profile) must not change what the simulation
-// computes — cycle counts and metrics stay bit-identical.
+// computes — the snapshots stay byte-identical.
 func TestTracingIsObservationOnly(t *testing.T) {
-	run := func(observe bool) (*Chip, Metrics) {
+	run := func(observe bool) []byte {
 		w := kernels.MustNew("kmp", kernels.Config{Seed: 61, Tasks: 8, Scale: 512})
 		c := New(SmallConfig(), w.Mem)
 		if observe {
@@ -27,15 +27,10 @@ func TestTracingIsObservationOnly(t *testing.T) {
 		if err := w.Check(); err != nil {
 			t.Fatal(err)
 		}
-		return c, c.Metrics()
+		return snapshotJSON(t, c.Snapshot("observe", "kmp"))
 	}
-	plain, mPlain := run(false)
-	traced, mTraced := run(true)
-	if plain.Now() != traced.Now() {
-		t.Fatalf("tracing changed the cycle count: %d vs %d", plain.Now(), traced.Now())
-	}
-	if mPlain != mTraced {
-		t.Fatalf("tracing changed the metrics:\nplain:  %+v\ntraced: %+v", mPlain, mTraced)
+	if plain, traced := run(false), run(true); !bytes.Equal(plain, traced) {
+		t.Fatalf("tracing changed the snapshot:\nplain:  %s\ntraced: %s", plain, traced)
 	}
 }
 
@@ -98,8 +93,9 @@ func TestChipTraceExportsValidChromeJSON(t *testing.T) {
 	}
 }
 
-// TestSnapshotJSONRoundTrips: the unified snapshot renders as valid JSON
-// carrying the run's headline metrics and the profiler's attribution.
+// TestSnapshotJSONRoundTrips: a run's record renders as valid JSON
+// carrying the headline metrics in its snapshot and the profiler's
+// attribution in the run report beside it.
 func TestSnapshotJSONRoundTrips(t *testing.T) {
 	w := kernels.MustNew("rnc", kernels.Config{Seed: 71, Tasks: 8})
 	c := New(SmallConfig(), w.Mem)
@@ -108,41 +104,45 @@ func TestSnapshotJSONRoundTrips(t *testing.T) {
 	if _, err := c.Run(3_000_000); err != nil {
 		t.Fatal(err)
 	}
-	snap := c.Snapshot("unit-test", "rnc seed=71 tasks=8")
-	var buf bytes.Buffer
-	if err := snap.WriteJSON(&buf); err != nil {
+	raw, err := json.Marshal(c.Record("unit-test", "rnc seed=71 tasks=8"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	var back Snapshot
-	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
-		t.Fatalf("snapshot is not valid JSON: %v", err)
+	var back Record
+	if err := json.Unmarshal(raw, &back); err != nil {
+		t.Fatalf("record is not valid JSON: %v", err)
 	}
-	if back.Label != "unit-test" || back.Cycles != c.Now() || back.Cycles == 0 {
-		t.Fatalf("round-trip lost fields: %+v", back)
+	snap, run := back.Snapshot, back.Run
+	if snap.Label != "unit-test" || snap.Cycles != c.Now() || snap.Cycles == 0 {
+		t.Fatalf("round-trip lost fields: %+v", snap)
 	}
-	if back.Chip.Cores != 16 || back.Chip.Topology != "ring" {
-		t.Fatalf("chip summary wrong: %+v", back.Chip)
+	if snap.Chip.Cores != 16 || snap.Chip.Topology != "ring" {
+		t.Fatalf("chip summary wrong: %+v", snap.Chip)
 	}
-	if back.Metrics.TasksDone != 8 || back.Metrics.Instructions == 0 {
-		t.Fatalf("metrics missing from snapshot: %+v", back.Metrics)
+	if snap.Metrics.TasksDone != 8 || snap.Metrics.Instructions == 0 {
+		t.Fatalf("metrics missing from snapshot: %+v", snap.Metrics)
 	}
-	// One profile row per shard: sub-rings, MCs, the main ring, the
-	// scheduler — matching the load report row for row.
+	// One row per shard: sub-rings, MCs, the main ring, the scheduler — in
+	// the snapshot's load table and in the run report alike.
 	wantShards := len(c.SubRings) + len(c.MCs) + 2
-	if len(back.Profile) != wantShards {
-		t.Fatalf("profile has %d shards, want %d", len(back.Profile), wantShards)
+	if len(snap.Load) != wantShards {
+		t.Fatalf("load table has %d shards, want %d", len(snap.Load), wantShards)
 	}
-	if len(back.Load) != wantShards {
-		t.Fatalf("load report has %d shards, want %d", len(back.Load), wantShards)
+	if len(run.Profile) != wantShards || len(run.Load) != wantShards || len(run.Windows) != wantShards {
+		t.Fatalf("run report rows: %d profile, %d load, %d windows, want %d each",
+			len(run.Profile), len(run.Load), len(run.Windows), wantShards)
+	}
+	if run.Partitions != 1 || run.Lookahead != 1 {
+		t.Fatalf("run report: %d partitions at lookahead %d, want 1 and 1", run.Partitions, run.Lookahead)
 	}
 	var share, tickShare float64
 	var ticks uint64
-	for i, pp := range back.Profile {
+	for i, pp := range run.Profile {
 		share += pp.Share
 		tickShare += pp.TickShare
 		ticks += pp.Ticks
-		if pp.Label != back.Load[i].Label || pp.Ticks != back.Load[i].Ticks {
-			t.Fatalf("profile row %d disagrees with load report: %+v vs %+v", i, pp, back.Load[i])
+		if pp.Label != snap.Load[i].Label || pp.Ticks != snap.Load[i].Ticks {
+			t.Fatalf("profile row %d disagrees with the load table: %+v vs %+v", i, pp, snap.Load[i])
 		}
 	}
 	if share < 0.999 || share > 1.001 {
@@ -152,6 +152,6 @@ func TestSnapshotJSONRoundTrips(t *testing.T) {
 		t.Fatalf("tick shares sum to %v", tickShare)
 	}
 	if ticks == 0 {
-		t.Fatal("no component ticks recorded in the load report")
+		t.Fatal("no component ticks recorded in the load table")
 	}
 }

@@ -178,7 +178,6 @@ func TestSampledEstimateInvariance(t *testing.T) {
 		cfg.Sampling = sampDefaultCadence
 		cfg.Partitions = parts
 		cfg.LinkLatency = 4
-		cfg.Lookahead = look
 		if hetero {
 			cfg.DRAMLatency = 8
 			cfg.MainRingLatency = 2
@@ -186,7 +185,7 @@ func TestSampledEstimateInvariance(t *testing.T) {
 			cfg.CreditLatency = 1
 		}
 		w := sampTinyWorkload(tasks)
-		c := New(cfg, w.Mem)
+		c := newCapped(cfg, w.Mem, look)
 		c.Submit(w.Tasks)
 		for _, s := range slices {
 			if _, err := c.Run(s); !errors.Is(err, sim.ErrBudget) {
@@ -530,13 +529,12 @@ func FuzzSampleHeteroBoundaries(f *testing.F) {
 		cfg.MainRingLatency = ring
 		cfg.SubRingLatency = ring
 		cfg.CreditLatency = credit
-		cfg.Lookahead = look
 		mk := func() *kernels.Workload {
 			return kernels.MustNew("kmp", kernels.Config{Seed: 11, Tasks: nTasks, Scale: 16})
 		}
 
 		wRef := mk()
-		ref := New(cfg, wRef.Mem)
+		ref := newCapped(cfg, wRef.Mem, look)
 		ref.Submit(wRef.Tasks)
 		refEst, err := ref.Run(sampTinyBudget)
 		if err != nil {
@@ -548,7 +546,7 @@ func FuzzSampleHeteroBoundaries(f *testing.F) {
 		refR := ref.Sampled()
 
 		w := mk()
-		c := New(cfg, w.Mem)
+		c := newCapped(cfg, w.Mem, look)
 		c.Submit(w.Tasks)
 		first := true
 		for _, slice := range []uint64{s1, s1 + s2} {
@@ -569,7 +567,7 @@ func FuzzSampleHeteroBoundaries(f *testing.F) {
 				first = false
 				blob := c.Checkpoint()
 				w2 := mk()
-				dst := New(cfg, w2.Mem)
+				dst := newCapped(cfg, w2.Mem, look)
 				dst.Submit(w2.Tasks)
 				if err := dst.Restore(blob); err != nil {
 					t.Fatalf("restore at slice %d: %v", slice, err)

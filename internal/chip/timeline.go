@@ -63,22 +63,9 @@ func (c *Chip) RunWithTimeline(maxCycles, interval uint64) ([]Sample, uint64, er
 		}
 		_, err := c.eng.Run(step, done)
 		if c.Now() > prevCycle {
-			cur := c.Metrics()
-			queued := c.Main.PendingLen()
-			for _, s := range c.Subs {
-				queued += s.QueueLen()
-			}
-			samples = append(samples, Sample{
-				Start:        prevCycle,
-				End:          c.Now(),
-				Instructions: cur.Instructions - prev.Instructions,
-				IPC:          float64(cur.Instructions-prev.Instructions) / float64(c.Now()-prevCycle),
-				MemRequests:  cur.MemRequests - prev.MemRequests,
-				NoCBytes:     cur.SubRingBytes + cur.MainRingBytes - prev.SubRingBytes - prev.MainRingBytes,
-				TasksDone:    cur.TasksDone - prev.TasksDone,
-				QueuedTasks:  queued,
-			})
-			prev = cur
+			var s Sample
+			s, prev = c.detailedSample(prev, prevCycle, c.Now(), c.Now()-prevCycle)
+			samples = append(samples, s)
 			prevCycle = c.Now()
 		}
 		// An interval ending on its per-interval budget is the normal
@@ -106,23 +93,9 @@ func (c *Chip) runSampledTimeline(maxCycles uint64) ([]Sample, uint64, error) {
 	prev := c.Metrics()
 	c.samp.onSpan = func(ev spanEvent) {
 		if ev.detailed {
-			cur := c.Metrics()
-			queued := c.Main.PendingLen()
-			for _, s := range c.Subs {
-				queued += s.QueueLen()
-			}
-			eng := ev.engEnd - ev.engStart
-			samples = append(samples, Sample{
-				Start:        ev.estStart,
-				End:          ev.estEnd,
-				Instructions: cur.Instructions - prev.Instructions,
-				IPC:          float64(cur.Instructions-prev.Instructions) / float64(eng),
-				MemRequests:  cur.MemRequests - prev.MemRequests,
-				NoCBytes:     cur.SubRingBytes + cur.MainRingBytes - prev.SubRingBytes - prev.MainRingBytes,
-				TasksDone:    cur.TasksDone - prev.TasksDone,
-				QueuedTasks:  queued,
-			})
-			prev = cur
+			var s Sample
+			s, prev = c.detailedSample(prev, ev.estStart, ev.estEnd, ev.engEnd-ev.engStart)
+			samples = append(samples, s)
 			return
 		}
 		s := Sample{
@@ -140,6 +113,27 @@ func (c *Chip) runSampledTimeline(maxCycles uint64) ([]Sample, uint64, error) {
 	defer func() { c.samp.onSpan = nil }()
 	est, err := c.RunSampled(maxCycles)
 	return samples, est, err
+}
+
+// detailedSample is the cycle-accurate Sample over [start, end), which
+// took cycles engine cycles since the metrics prev were read. It returns
+// the metrics it read, for the next sample.
+func (c *Chip) detailedSample(prev Metrics, start, end, cycles uint64) (Sample, Metrics) {
+	cur := c.Metrics()
+	queued := c.Main.PendingLen()
+	for _, s := range c.Subs {
+		queued += s.QueueLen()
+	}
+	return Sample{
+		Start:        start,
+		End:          end,
+		Instructions: cur.Instructions - prev.Instructions,
+		IPC:          float64(cur.Instructions-prev.Instructions) / float64(cycles),
+		MemRequests:  cur.MemRequests - prev.MemRequests,
+		NoCBytes:     cur.SubRingBytes + cur.MainRingBytes - prev.SubRingBytes - prev.MainRingBytes,
+		TasksDone:    cur.TasksDone - prev.TasksDone,
+		QueuedTasks:  queued,
+	}, cur
 }
 
 // WriteTimelineCSV renders samples as CSV for plotting. The sampled column

@@ -40,14 +40,11 @@ func EngineChipConfig(name string) (chip.Config, error) {
 // EngineBenchVariant selects the timing model an engine measurement runs
 // under. The zero value is the classic machine: 1-cycle cross-shard links,
 // a barrier every cycle. LinkLatency > 1 models slower links, which also
-// licenses the engine to run multi-cycle conservative windows; Lookahead
-// caps the window (0 = auto, the full window the links allow; 1 runs the
-// same machine cycle-by-cycle). The per-class latencies override
-// LinkLatency for one port class each (0 defers; see chip.Config), making
-// the safe window per-shard.
+// licenses the engine to run multi-cycle conservative windows. The
+// per-class latencies override LinkLatency for one port class each (0
+// defers; see chip.Config), making the safe window per-shard.
 type EngineBenchVariant struct {
 	LinkLatency     uint64
-	Lookahead       uint64
 	DRAMLatency     uint64
 	MainRingLatency uint64
 	SubRingLatency  uint64
@@ -60,9 +57,9 @@ func (v EngineBenchVariant) Hetero() bool {
 }
 
 // MachineKey names the simulated machine the variant defines — config
-// plus every latency that shapes the timing model, excluding pure
-// wall-time settings (Lookahead, the partition count). Runs with equal
-// keys must report bit-identical simulated cycle counts.
+// plus every latency that shapes the timing model, excluding the
+// partition count, a pure wall-time setting. Runs with equal keys must
+// report bit-identical simulated cycle counts.
 func (v EngineBenchVariant) MachineKey(config string) string {
 	key := fmt.Sprintf("%s/linklat=%d", config, max(v.LinkLatency, 1))
 	if v.Hetero() {
@@ -72,20 +69,18 @@ func (v EngineBenchVariant) MachineKey(config string) string {
 	return key
 }
 
-// EngineBenchVariants is the timing-model A/B grid the engine benchmark
+// EngineBenchVariants is the timing-model grid the engine benchmark
 // sweeps: the classic 1-cycle-link machine for continuity with older
-// entries; the 4-cycle-link machine twice — multi-cycle windows disabled
-// (Lookahead 1) and the full conservative window (auto); then the
-// reference heterogeneous profile, DRAM-8 / NoC-2 / credit-1 (memory links
-// at 8 cycles, ring hops at 2, scheduler credits at 1), where the memory
-// shards run 8-cycle blocks and the ring/sub-ring shards 2-cycle blocks
-// while the scheduler steps cycle by cycle. Runs on the same machine
-// (equal MachineKey) must report bit-identical simulated cycle counts;
-// smarcobench -engine enforces that, so the sweep doubles as a
-// conformance check.
+// entries; the 4-cycle-link machine under its full conservative window;
+// then the reference heterogeneous profile, DRAM-8 / NoC-2 / credit-1
+// (memory links at 8 cycles, ring hops at 2, scheduler credits at 1),
+// where the memory shards run 8-cycle blocks and the ring/sub-ring shards
+// 2-cycle blocks while the scheduler steps cycle by cycle. Runs on the
+// same machine (equal MachineKey) must report bit-identical simulated
+// cycle counts; smarcobench -engine enforces that across partition
+// counts, so the sweep doubles as a conformance check.
 var EngineBenchVariants = []EngineBenchVariant{
 	{},
-	{LinkLatency: 4, Lookahead: 1},
 	{LinkLatency: 4},
 	{DRAMLatency: 8, MainRingLatency: 2, SubRingLatency: 2, CreditLatency: 1},
 }
@@ -100,10 +95,12 @@ type EngineRun struct {
 	// LinkLatency and Lookahead describe the timing-model variant; both
 	// absent means the classic machine (1-cycle links, barrier every
 	// cycle). Lookahead records the narrowest effective shard window the
-	// engine settled on, not the requested cap. The per-class latencies
-	// mirror the variant's heterogeneous profile (absent on uniform
-	// machines), and MaxWindow records the widest per-shard window the
-	// wiring allows (absent when it equals the narrowest). GlobalWindow is
+	// engine settled on; older entries also hold 4-cycle-link rows at
+	// lookahead 1, run under a window cap that is now only a test hook.
+	// The per-class latencies mirror the variant's heterogeneous profile
+	// (absent on uniform machines), and MaxWindow records the widest
+	// per-shard window the wiring allows (absent when it equals the
+	// narrowest). GlobalWindow is
 	// record-only: it marks the rows of older entries that ran under the
 	// engine's former global-min window switch, and no run sets it now;
 	// it stays in the schema so that appending an entry to
@@ -147,63 +144,54 @@ const EngineBenchWorkload = "kmp seed=1 tasks=2*cores scale=512 budget=50M"
 // simulation loop. The simulated cycle count is deterministic; only wall
 // time varies.
 func MeasureEngine(config string, partitions int) (EngineRun, error) {
-	run, _, err := MeasureEngineSnapshot(config, partitions)
+	run, _, err := measureEngine(config, partitions, EngineBenchVariant{})
 	return run, err
 }
 
-// MeasureEngineVariant is MeasureEngineSnapshot on an explicit timing-model
-// variant (link latency + lookahead cap).
-func MeasureEngineVariant(config string, partitions int, v EngineBenchVariant) (EngineRun, chip.Snapshot, error) {
-	return measureEngine(config, partitions, v)
-}
-
-// MeasureEngineVariantBest repeats the measurement and keeps the run with
-// the highest cycles-per-second — standard practice for wall-clock
-// benchmarks on shared hosts, where a single run can absorb tens of
-// percent of scheduler noise. Simulated cycle counts must be bit-identical
-// across repeats (they are pure functions of the machine); a mismatch is
+// MeasureEngineVariantBest measures an explicit timing-model variant,
+// returning the run's record (see chip.Record) beside its EngineRun. It
+// repeats the measurement and keeps the run with the highest
+// cycles-per-second — standard practice for wall-clock benchmarks on
+// shared hosts, where a single run can absorb tens of percent of
+// scheduler noise. Simulated cycle counts must be bit-identical across
+// repeats (they are pure functions of the machine); a mismatch is
 // reported as an error, so the repeats double as a determinism check.
-func MeasureEngineVariantBest(config string, partitions int, v EngineBenchVariant, repeats int) (EngineRun, chip.Snapshot, error) {
+//
+// No measurement enables the engine's wall-time profiler: CyclesPerSec is
+// the headline throughput number tracked in BENCH_engine.json, and
+// profiling taxes the hot loop with two clock reads per partition per
+// phase. Attribution profiles come from runs that opt in (smarcosim
+// -profile).
+func MeasureEngineVariantBest(config string, partitions int, v EngineBenchVariant, repeats int) (EngineRun, chip.Record, error) {
 	if repeats < 1 {
 		repeats = 1
 	}
 	var best EngineRun
-	var bestSnap chip.Snapshot
+	var bestRec chip.Record
 	for i := 0; i < repeats; i++ {
-		run, snap, err := measureEngine(config, partitions, v)
+		run, rec, err := measureEngine(config, partitions, v)
 		if err != nil {
-			return EngineRun{}, chip.Snapshot{}, err
+			return EngineRun{}, chip.Record{}, err
 		}
 		if i > 0 && run.Cycles != best.Cycles {
-			return EngineRun{}, chip.Snapshot{}, fmt.Errorf(
+			return EngineRun{}, chip.Record{}, fmt.Errorf(
 				"engine bench %s: repeat %d simulated %d cycles, repeat 0 %d — nondeterminism",
 				config, i, run.Cycles, best.Cycles)
 		}
 		if i == 0 || run.CyclesPerSec > best.CyclesPerSec {
-			best, bestSnap = run, snap
+			best, bestRec = run, rec
 		}
 	}
-	return best, bestSnap, nil
+	return best, bestRec, nil
 }
 
-// MeasureEngineSnapshot is MeasureEngine plus the run's unified JSON
-// metrics snapshot (see chip.Snapshot). It deliberately does NOT enable
-// the engine's wall-time profiler: CyclesPerSec is the headline
-// throughput number tracked in BENCH_engine.json, and profiling taxes
-// the hot loop with two clock reads per partition per phase. Attribution
-// profiles come from runs that opt in (smarcosim -profile).
-func MeasureEngineSnapshot(config string, partitions int) (EngineRun, chip.Snapshot, error) {
-	return measureEngine(config, partitions, EngineBenchVariant{})
-}
-
-func measureEngine(config string, partitions int, v EngineBenchVariant) (EngineRun, chip.Snapshot, error) {
+func measureEngine(config string, partitions int, v EngineBenchVariant) (EngineRun, chip.Record, error) {
 	cfg, err := EngineChipConfig(config)
 	if err != nil {
-		return EngineRun{}, chip.Snapshot{}, err
+		return EngineRun{}, chip.Record{}, err
 	}
 	cfg.Partitions = partitions
 	cfg.LinkLatency = v.LinkLatency
-	cfg.Lookahead = v.Lookahead
 	cfg.DRAMLatency = v.DRAMLatency
 	cfg.MainRingLatency = v.MainRingLatency
 	cfg.SubRingLatency = v.SubRingLatency
@@ -211,17 +199,17 @@ func measureEngine(config string, partitions int, v EngineBenchVariant) (EngineR
 	w := kernels.MustNew("kmp", kernels.Config{Seed: 1, Tasks: 2 * cfg.Cores(), Scale: 512})
 	c, err := chip.Build(cfg, w.Mem)
 	if err != nil {
-		return EngineRun{}, chip.Snapshot{}, err
+		return EngineRun{}, chip.Record{}, err
 	}
 	c.Submit(w.Tasks)
 	start := time.Now()
 	cycles, err := c.Run(EngineBenchBudget)
 	wall := time.Since(start).Seconds()
 	if err != nil {
-		return EngineRun{}, chip.Snapshot{}, err
+		return EngineRun{}, chip.Record{}, err
 	}
 	if err := w.Check(); err != nil {
-		return EngineRun{}, chip.Snapshot{}, fmt.Errorf("engine bench %s: %w", config, err)
+		return EngineRun{}, chip.Record{}, fmt.Errorf("engine bench %s: %w", config, err)
 	}
 	run := EngineRun{
 		Config:          config,
@@ -235,29 +223,26 @@ func measureEngine(config string, partitions int, v EngineBenchVariant) (EngineR
 		WallSeconds:     wall,
 		CyclesPerSec:    float64(cycles) / wall,
 	}
-	if v.LinkLatency > 1 || v.Lookahead > 1 || v.Hetero() {
-		run.Lookahead = c.Lookahead() // effective window, not the requested cap
-	}
-	if h, d := c.Handoffs(); d > 0 {
-		share := float64(h) / float64(d)
-		run.Handoffs = &share
-	}
-	var maxWin uint64
-	for _, w := range c.WindowReport() {
-		if w.Window > maxWin {
-			maxWin = w.Window
-		}
-	}
-	if maxWin > c.Lookahead() {
-		run.MaxWindow = maxWin
-	}
 	label := fmt.Sprintf("engine %s parallel=%v", config, run.Parallel)
-	if v.LinkLatency != 0 || v.Lookahead != 0 {
-		label = fmt.Sprintf("%s linklat=%d lookahead=%d", label, v.LinkLatency, v.Lookahead)
+	if v.LinkLatency != 0 {
+		label = fmt.Sprintf("%s linklat=%d", label, v.LinkLatency)
 	}
 	if v.Hetero() {
 		label = fmt.Sprintf("%s dram=%d mainring=%d subring=%d credit=%d",
 			label, v.DRAMLatency, v.MainRingLatency, v.SubRingLatency, v.CreditLatency)
 	}
-	return run, c.Snapshot(label, EngineBenchWorkload), nil
+	rec := c.Record(label, EngineBenchWorkload)
+	if v.LinkLatency > 1 || v.Hetero() {
+		run.Lookahead = rec.Run.Lookahead
+	}
+	if rec.Run.Dispatched > 0 {
+		share := float64(rec.Run.Handed) / float64(rec.Run.Dispatched)
+		run.Handoffs = &share
+	}
+	for _, w := range rec.Run.Windows {
+		if w.Window > rec.Run.Lookahead {
+			run.MaxWindow = max(run.MaxWindow, w.Window)
+		}
+	}
+	return run, rec, nil
 }

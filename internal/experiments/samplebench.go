@@ -40,7 +40,7 @@ func engineSampledWorkload(cfg chip.Config) *kernels.Workload {
 // the 50M-cycle budget. The sampled run's EngineRun carries the
 // extrapolated cycle count, its confidence half-width, and the wall-clock
 // speedup over the paired detailed run.
-func MeasureEngineSampled(config string, cad sampling.Config) (detailed, sampled EngineRun, snaps []chip.Snapshot, err error) {
+func MeasureEngineSampled(config string, cad sampling.Config) (detailed, sampled EngineRun, recs []chip.Record, err error) {
 	cfg, err := EngineChipConfig(config)
 	if err != nil {
 		return
@@ -55,23 +55,23 @@ func MeasureEngineSampled(config string, cad sampling.Config) (detailed, sampled
 		cad.MinBatch = EngineSampledCadence.MinBatch
 	}
 
-	run := func(sampCfg sampling.Config) (EngineRun, chip.Snapshot, error) {
+	run := func(sampCfg sampling.Config) (EngineRun, chip.Record, error) {
 		c := cfg
 		c.Sampling = sampCfg
 		w := engineSampledWorkload(c)
 		ch, err := chip.Build(c, w.Mem)
 		if err != nil {
-			return EngineRun{}, chip.Snapshot{}, err
+			return EngineRun{}, chip.Record{}, err
 		}
 		ch.Submit(w.Tasks)
 		start := time.Now()
 		cycles, err := ch.Run(EngineBenchBudget)
 		wall := time.Since(start).Seconds()
 		if err != nil {
-			return EngineRun{}, chip.Snapshot{}, err
+			return EngineRun{}, chip.Record{}, err
 		}
 		if err := w.Check(); err != nil {
-			return EngineRun{}, chip.Snapshot{}, fmt.Errorf("sampled A/B %s: %w", config, err)
+			return EngineRun{}, chip.Record{}, fmt.Errorf("sampled A/B %s: %w", config, err)
 		}
 		r := EngineRun{
 			Config:          config,
@@ -86,18 +86,18 @@ func MeasureEngineSampled(config string, cad sampling.Config) (detailed, sampled
 			r.EstError = sr.RelErr
 			label = fmt.Sprintf("engine %s sampled every=%d window=%d", config, sampCfg.Every, sampCfg.Window)
 		}
-		return r, ch.Snapshot(label, EngineSampledWorkload), nil
+		return r, ch.Record(label, EngineSampledWorkload), nil
 	}
 
-	var snap chip.Snapshot
-	if detailed, snap, err = run(sampling.Config{}); err != nil {
+	var rec chip.Record
+	if detailed, rec, err = run(sampling.Config{}); err != nil {
 		return
 	}
-	snaps = append(snaps, snap)
-	if sampled, snap, err = run(cad); err != nil {
+	recs = append(recs, rec)
+	if sampled, rec, err = run(cad); err != nil {
 		return
 	}
-	snaps = append(snaps, snap)
+	recs = append(recs, rec)
 	sampled.Speedup = detailed.WallSeconds / sampled.WallSeconds
 	return
 }

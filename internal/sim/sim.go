@@ -568,7 +568,8 @@ func (e *Engine) AddSinkPort(p committer) {
 // full safe window — the minimum declared MinLatency over its cross-shard
 // input ports; explicit values can only lower it (1 runs one-cycle
 // windows, a barrier every cycle). Results are bit-identical for every
-// setting.
+// setting, so the cap is a test hook for cycle-by-cycle references: Run
+// reads it at entry, and checkpoints never carry it.
 func (e *Engine) SetLookahead(n uint64) { e.lookahead = n }
 
 // autoLookahead returns the narrowest uncapped window: the minimum

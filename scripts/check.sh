@@ -27,10 +27,12 @@ go build ./...
 # (TestLookaheadConformance, TestTimelineLookaheadIdentical,
 # TestLookaheadCheckpointCrossSetting) all run under -race here.
 # The 30m timeout is per test binary. On a 2-CPU host the chip suite
-# takes 1,314 s under -race, with card (124 s) and chaos (491 s) running
-# beside it, and the whole script 25 minutes. The partition-count
-# bit-identity, lookahead and hetero-latency conformance matrices (260,
-# 262 and 220 s) are many full-chip runs, and the sampled-mode
+# takes 1,146 s under -race, with card (112 s) and chaos (436 s) running
+# beside it, and the whole script about 25 minutes. The partition-count
+# bit-identity, window-cap and hetero-latency conformance matrices (219,
+# 223 and 175 s) are many full-chip runs; the code before Snapshot and
+# RunReport were split, timed back to back with -v, read 1,190 s for the
+# chip suite and 230, 218 and 200 s for the matrices. The sampled-mode
 # suites add more — the accuracy ledger trims itself to the short kernel
 # subset under the detector (race_on_test.go; the full matrix runs
 # un-raced in the no-short suite) but the estimate-invariance matrix
